@@ -6,6 +6,12 @@ the adversary's own past samples through round t-1). Oblivious adversaries
 ignore history entirely; the sample for the current round can never depend on
 the current query. Instances are single-run: build a fresh one per game.
 
+Adversaries whose samples depend on the history only through past queries
+also expose sample_batch(queries) -> int64 array: on a fresh instance it
+equals len(queries) successive next_sample calls, consuming the rng the same
+way, so the arena can replay a whole game against a feedback-oblivious
+algorithm as arrays.
+
 Besides plain i.i.d. samplers this module carries the hard-instance
 machinery: the perturbed-staircase CDF family, the two-phase median
 lower-bound adversary, the deterministic-algorithm breaker pair, and the
@@ -41,13 +47,14 @@ class Adversary:
 
 
 def _as_float_pmf(pmf) -> np.ndarray:
-    arr = np.asarray([float(p) for p in pmf], dtype=np.float64)
+    arr = np.array(pmf, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise ValidationError("pmf must be a 1-d array over {1..n+1} with n >= 1")
-    if np.any(arr < 0):
-        raise ValidationError(f"pmf has a negative entry at value {int(np.argmin(arr)) + 1}")
-    if abs(arr.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"pmf sums to {arr.sum()!r}, not 1")
+    if (arr < 0).any():
+        raise ValidationError(f"pmf has a negative entry at value {int(arr.argmin()) + 1}")
+    total = float(arr.sum())
+    if not abs(total - 1.0) <= 1e-9:  # also rejects nan
+        raise ValidationError(f"pmf sums to {total!r}, not 1")
     return arr
 
 
@@ -65,9 +72,8 @@ class StochasticAdversary(Adversary):
     def next_sample(self, history: Sequence[RoundRecord]) -> int:
         return int(np.searchsorted(self._cum, self._rng.random(), side="right")) + 1
 
-
-def stochastic_adversary(pmf, rng: np.random.Generator) -> StochasticAdversary:
-    return StochasticAdversary(pmf, rng)
+    def sample_batch(self, queries: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self._cum, self._rng.random(len(queries)), side="right") + 1
 
 
 def uniform_pmf(n: int) -> np.ndarray:
@@ -85,10 +91,6 @@ def point_mass_pmf(j: int, n: int) -> np.ndarray:
     return pmf
 
 
-def uniform_adversary(n: int, rng: np.random.Generator) -> StochasticAdversary:
-    return StochasticAdversary(uniform_pmf(n), rng)
-
-
 class ConstantCoinAdversary(Adversary):
     """Commits at construction, by one fair coin flip, to all-1s or all-2s."""
 
@@ -101,9 +103,8 @@ class ConstantCoinAdversary(Adversary):
     def next_sample(self, history: Sequence[RoundRecord]) -> int:
         return self.value
 
-
-def constant_coin_adversary(n: int, rng: np.random.Generator) -> ConstantCoinAdversary:
-    return ConstantCoinAdversary(n, rng)
+    def sample_batch(self, queries: np.ndarray) -> np.ndarray:
+        return np.full(len(queries), self.value, dtype=np.int64)
 
 
 class AdaptiveMirrorAdversary(Adversary):
@@ -123,9 +124,11 @@ class AdaptiveMirrorAdversary(Adversary):
             return self.n // 2
         return min(history[-1].query + 1, self.n + 1)
 
-
-def adaptive_mirror_adversary(n: int) -> AdaptiveMirrorAdversary:
-    return AdaptiveMirrorAdversary(n)
+    def sample_batch(self, queries: np.ndarray) -> np.ndarray:
+        samples = np.empty(len(queries), dtype=np.int64)
+        samples[:1] = self.n // 2
+        samples[1:] = np.minimum(queries[:-1] + 1, self.n + 1)
+        return samples
 
 
 class SequenceAdversary(Adversary):
@@ -148,6 +151,13 @@ class SequenceAdversary(Adversary):
                 f"sample sequence exhausted after {len(self.samples)} rounds"
             )
         return self.samples[t]
+
+    def sample_batch(self, queries: np.ndarray) -> np.ndarray:
+        if len(queries) > len(self.samples):
+            raise ValidationError(
+                f"sample sequence exhausted after {len(self.samples)} rounds"
+            )
+        return np.asarray(self.samples[: len(queries)], dtype=np.int64)
 
 
 def save_sample_sequence(path, samples: Sequence[int]) -> None:
@@ -338,9 +348,15 @@ class MedianLbAdversary(Adversary):
             return self.n
         return 1
 
-
-def median_lb_adversary(config: MedianLbConfig, rng: np.random.Generator) -> MedianLbAdversary:
-    return MedianLbAdversary(config, rng)
+    def sample_batch(self, queries: np.ndarray) -> np.ndarray:
+        rounds = len(queries)
+        half = self.config.horizon // 2
+        phase1 = min(rounds, half)
+        block_end = min(rounds, half + self.j * self.config.m)
+        samples = np.ones(rounds, dtype=np.int64)
+        samples[:phase1] = np.searchsorted(self._cum, self._rng.random(phase1), side="right") + 1
+        samples[phase1:block_end] = self.n
+        return samples
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +395,6 @@ class AnytimeAdversary(Adversary):
             self._segment_len = 32 * self._segment_start
             self._segment = self._factory(self._segment_len)
         return self._segment.next_sample(history[self._segment_start :])
-
-
-def anytime_amplifier(factory: Callable[[int], Adversary], t0: int = 1) -> AnytimeAdversary:
-    return AnytimeAdversary(factory, t0)
 
 
 # ---------------------------------------------------------------------------

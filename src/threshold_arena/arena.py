@@ -7,21 +7,24 @@ algorithm and the query joins the adversary-visible history. Errors are
 recorded every round against the exact running empirical CDF / mean.
 
 Everything is reproducible: a master seed is split into independent
-per-(run, role) lanes via numpy SeedSequence spawn keys, runs are aggregated
-in a fixed chunk order regardless of worker count, and i.i.d. matchups hit a
-vectorized fast path that consumes the very same random streams as the
-general loop.
+per-(run, role) lanes via numpy SeedSequence spawn keys, and runs are
+aggregated in a fixed chunk order regardless of worker count. Monte Carlo
+builds both sides of every run once; when the algorithm has query_batch and
+estimate_batch and the adversary has sample_batch (queries that ignore
+feedback, samples that depend only on queries), the run is replayed as
+arrays from the very same random streams, else it is played round by round.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 import numpy as np
 
@@ -60,15 +63,14 @@ def derive_rng(master_seed: int, run_id: int, role: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AlgorithmSpec:
+class ComponentSpec:
+    """A registered algorithm or adversary name plus its builder parameters."""
+
     name: str
     params: dict = field(default_factory=dict)
 
 
-@dataclass
-class AdversarySpec:
-    name: str
-    params: dict = field(default_factory=dict)
+AlgorithmSpec = AdversarySpec = ComponentSpec
 
 
 @dataclass(frozen=True)
@@ -78,17 +80,8 @@ class _AlgorithmEntry:
     deterministic: bool = False
 
 
-@dataclass(frozen=True)
-class _AdversaryEntry:
-    build: Callable[[dict, int, int, np.random.Generator], Adversary]
-    # fast_samples(params, n, horizon, queries, rng) -> sample vector, valid
-    # only against algorithms whose queries are feedback-independent; must
-    # consume the rng exactly like round-by-round play does.
-    fast_samples: Optional[Callable[[dict, int, int, np.ndarray, np.random.Generator], np.ndarray]] = None
-
-
 _ALGORITHMS: dict[str, _AlgorithmEntry] = {}
-_ADVERSARIES: dict[str, _AdversaryEntry] = {}
+_ADVERSARY_BUILDERS: dict[str, Callable[[dict, int, int, np.random.Generator], Adversary]] = {}
 
 
 def register_algorithm(name, build, kind, deterministic=False) -> None:
@@ -101,64 +94,51 @@ def register_algorithm(name, build, kind, deterministic=False) -> None:
     _ALGORITHMS[name] = _AlgorithmEntry(build=build, kind=kind, deterministic=deterministic)
 
 
-def register_adversary(name, build, fast_samples=None) -> None:
-    """Expose an adversary builder; fast_samples unlocks the vectorized path."""
-    _ADVERSARIES[name] = _AdversaryEntry(build=build, fast_samples=fast_samples)
+def register_adversary(name, build) -> None:
+    """Expose an adversary builder: build(params, n, horizon, rng) -> Adversary."""
+    _ADVERSARY_BUILDERS[name] = build
 
 
-def _as_algorithm_spec(value) -> AlgorithmSpec:
-    if isinstance(value, AlgorithmSpec):
+def _as_spec(value, role: str) -> ComponentSpec:
+    """Coerce a spec, a bare name or a {"name", "params"} dict (config files)."""
+    if isinstance(value, ComponentSpec):
         return value
     if isinstance(value, str):
-        return AlgorithmSpec(value)
-    if isinstance(value, dict):
-        return AlgorithmSpec(value["name"], dict(value.get("params", {})))
-    raise ValidationError(f"cannot interpret {value!r} as an algorithm spec")
+        return ComponentSpec(value)
+    if (
+        isinstance(value, dict)
+        and isinstance(value.get("name"), str)
+        and isinstance(value.get("params", {}), dict)
+    ):
+        return ComponentSpec(value["name"], dict(value.get("params", {})))
+    raise ValidationError(
+        f"cannot interpret {value!r} as an {role} spec: "
+        f'need a name or {{"name": str, "params": dict}}'
+    )
 
 
-def _as_adversary_spec(value) -> AdversarySpec:
-    if isinstance(value, AdversarySpec):
-        return value
-    if isinstance(value, str):
-        return AdversarySpec(value)
-    if isinstance(value, dict):
-        return AdversarySpec(value["name"], dict(value.get("params", {})))
-    raise ValidationError(f"cannot interpret {value!r} as an adversary spec")
-
-
-def _algorithm_entry(spec: AlgorithmSpec) -> _AlgorithmEntry:
+def _registered(registry: dict, spec: ComponentSpec, role: str):
     try:
-        return _ALGORITHMS[spec.name]
+        return registry[spec.name]
     except KeyError:
-        raise ValidationError(
-            f"unknown algorithm {spec.name!r}; registered: {sorted(_ALGORITHMS)}"
-        )
-
-
-def _adversary_entry(spec: AdversarySpec) -> _AdversaryEntry:
-    try:
-        return _ADVERSARIES[spec.name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown adversary {spec.name!r}; registered: {sorted(_ADVERSARIES)}"
-        )
+        raise ValidationError(f"unknown {role} {spec.name!r}; registered: {sorted(registry)}")
 
 
 def algorithm_kind(spec: AlgorithmSpec) -> str:
-    entry = _algorithm_entry(spec)
+    entry = _registered(_ALGORITHMS, spec, "algorithm")
     return entry.kind(spec.params) if callable(entry.kind) else entry.kind
 
 
 def algorithm_is_deterministic(spec: AlgorithmSpec) -> bool:
-    return _algorithm_entry(spec).deterministic
+    return _registered(_ALGORITHMS, spec, "algorithm").deterministic
 
 
 def build_algorithm(spec: AlgorithmSpec, n: int, horizon: int, rng) -> OnlineAlgorithm:
-    return _algorithm_entry(spec).build(spec.params, n, horizon, rng)
+    return _registered(_ALGORITHMS, spec, "algorithm").build(spec.params, n, horizon, rng)
 
 
 def build_adversary(spec: AdversarySpec, n: int, horizon: int, rng) -> Adversary:
-    return _adversary_entry(spec).build(spec.params, n, horizon, rng)
+    return _registered(_ADVERSARY_BUILDERS, spec, "adversary")(spec.params, n, horizon, rng)
 
 
 # Built-in algorithms.
@@ -180,14 +160,14 @@ def _build_stochastic_cdf(params, n, horizon, rng):
 def _build_quantile(params, n, horizon, rng):
     if "tau" not in params:
         raise ValidationError("quantile wrapper needs a tau parameter")
-    inner = _as_algorithm_spec(params.get("inner", "cdfest"))
+    inner = _as_spec(params.get("inner", "cdfest"), "algorithm")
     return est_mod.QuantileReduction(build_algorithm(inner, n, horizon, rng), params["tau"], rng)
 
 
 def _build_boosted(params, n, horizon, rng):
     if "delta" not in params:
         raise ValidationError("boosted wrapper needs a delta parameter")
-    inner = _as_algorithm_spec(params.get("inner", "meanest"))
+    inner = _as_spec(params.get("inner", "meanest"), "algorithm")
     return est_mod.ConfidenceBoost(
         lambda: build_algorithm(inner, n, horizon, rng),
         params["delta"],
@@ -197,7 +177,7 @@ def _build_boosted(params, n, horizon, rng):
 
 
 def _boosted_kind(params) -> str:
-    return algorithm_kind(_as_algorithm_spec(params.get("inner", "meanest")))
+    return algorithm_kind(_as_spec(params.get("inner", "meanest"), "algorithm"))
 
 
 register_algorithm("cdfest", _build_cdfest, "cdf")
@@ -248,52 +228,6 @@ def _build_iid(pmf_fn):
     return build
 
 
-def _iid_fast(pmf_fn):
-    def fast(params, n, horizon, queries, rng):
-        cum = np.cumsum(pmf_fn(params, n))
-        cum[-1] = 1.0
-        return np.searchsorted(cum, rng.random(horizon), side="right") + 1
-
-    return fast
-
-
-def _mirror_fast(params, n, horizon, queries, rng):
-    samples = np.empty(horizon, dtype=np.int64)
-    samples[0] = n // 2
-    samples[1:] = np.minimum(queries[:-1] + 1, n + 1)
-    return samples
-
-
-def _coin_fast(params, n, horizon, queries, rng):
-    value = 1 if rng.random() < 0.5 else 2
-    return np.full(horizon, value, dtype=np.int64)
-
-
-def _sequence_fast(params, n, horizon, queries, rng):
-    adversary = _build_sequence(params, n, horizon, rng)
-    if len(adversary.samples) < horizon:
-        raise ValidationError(
-            f"sample sequence exhausted after {len(adversary.samples)} rounds"
-        )
-    return np.asarray(adversary.samples[:horizon], dtype=np.int64)
-
-
-def _median_lb_fast(params, n, horizon, queries, rng):
-    adversary = _build_median_lb(params, n, horizon, rng)  # draws j like live play
-    config = adversary.config
-    half = config.horizon // 2
-    samples = np.empty(horizon, dtype=np.int64)
-    phase1 = min(horizon, half)
-    if phase1:
-        samples[:phase1] = (
-            np.searchsorted(adversary._cum, rng.random(phase1), side="right") + 1
-        )
-    block_end = min(horizon, half + adversary.j * config.m)
-    samples[phase1:block_end] = n
-    samples[block_end:] = 1
-    return samples
-
-
 def _build_median_lb(params, n, horizon, rng):
     for key in ("k", "m", "epsilon"):
         if key not in params:
@@ -313,33 +247,31 @@ def _build_sequence(params, n, horizon, rng):
         samples = adv_mod.load_sample_sequence(params["path"])
     else:
         raise ValidationError("sequence adversary needs samples or a path parameter")
-    return adv_mod.SequenceAdversary(samples, n)
+    adversary = adv_mod.SequenceAdversary(samples, n)
+    if len(adversary.samples) < horizon:
+        raise ValidationError(
+            f"sample sequence exhausted after {len(adversary.samples)} rounds, "
+            f"before the horizon {horizon}"
+        )
+    return adversary
 
 
 def _build_amplified(params, n, horizon, rng):
     if "inner" not in params:
         raise ValidationError("amplified adversary needs an inner adversary spec")
-    inner = _as_adversary_spec(params["inner"])
+    inner = _as_spec(params["inner"], "adversary")
     factory = lambda segment: build_adversary(inner, n, segment, rng)
     return adv_mod.AnytimeAdversary(factory, t0=int(params.get("t0", 1)))
 
 
-register_adversary("uniform", _build_iid(_uniform_pmf), fast_samples=_iid_fast(_uniform_pmf))
-register_adversary("point-mass", _build_iid(_point_mass_pmf), fast_samples=_iid_fast(_point_mass_pmf))
-register_adversary("stochastic", _build_iid(_stochastic_pmf), fast_samples=_iid_fast(_stochastic_pmf))
-register_adversary("cdf-lb", _build_iid(_cdf_lb_pmf), fast_samples=_iid_fast(_cdf_lb_pmf))
-register_adversary("median-lb", _build_median_lb, fast_samples=_median_lb_fast)
-register_adversary(
-    "coin",
-    lambda p, n, horizon, rng: adv_mod.ConstantCoinAdversary(n, rng),
-    fast_samples=_coin_fast,
-)
-register_adversary(
-    "mirror",
-    lambda p, n, horizon, rng: adv_mod.AdaptiveMirrorAdversary(n),
-    fast_samples=_mirror_fast,
-)
-register_adversary("sequence", _build_sequence, fast_samples=_sequence_fast)
+register_adversary("uniform", _build_iid(_uniform_pmf))
+register_adversary("point-mass", _build_iid(_point_mass_pmf))
+register_adversary("stochastic", _build_iid(_stochastic_pmf))
+register_adversary("cdf-lb", _build_iid(_cdf_lb_pmf))
+register_adversary("median-lb", _build_median_lb)
+register_adversary("coin", lambda p, n, horizon, rng: adv_mod.ConstantCoinAdversary(n, rng))
+register_adversary("mirror", lambda p, n, horizon, rng: adv_mod.AdaptiveMirrorAdversary(n))
+register_adversary("sequence", _build_sequence)
 register_adversary("amplified", _build_amplified)
 
 
@@ -377,8 +309,8 @@ class GameConfig:
     burn_in: int = 0
 
     def __post_init__(self) -> None:
-        self.algorithm = _as_algorithm_spec(self.algorithm)
-        self.adversary = _as_adversary_spec(self.adversary)
+        self.algorithm = _as_spec(self.algorithm, "algorithm")
+        self.adversary = _as_spec(self.adversary, "adversary")
 
 
 def resolve_metric(config: GameConfig) -> tuple[str, float]:
@@ -414,8 +346,16 @@ def resolve_metric(config: GameConfig) -> tuple[str, float]:
 def validate_config(config: GameConfig) -> None:
     """Exhaustive pre-run validation, including a dry build of both sides."""
     resolve_metric(config)
-    build_algorithm(config.algorithm, config.n, config.horizon, derive_rng(config.seed, 0, ROLE_ALGORITHM))
-    build_adversary(config.adversary, config.n, config.horizon, derive_rng(config.seed, 0, ROLE_ADVERSARY))
+    _build_sides(config, 0)
+
+
+def _build_sides(config: GameConfig, run_id: int):
+    """(algorithm, adversary, algorithm rng) of one run, on the run's rng lanes."""
+    alg_rng = derive_rng(config.seed, run_id, ROLE_ALGORITHM)
+    adv_rng = derive_rng(config.seed, run_id, ROLE_ADVERSARY)
+    alg = build_algorithm(config.algorithm, config.n, config.horizon, alg_rng)
+    adversary = build_adversary(config.adversary, config.n, config.horizon, adv_rng)
+    return alg, adversary, alg_rng
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +404,13 @@ def run_game(config: GameConfig, run_id: int = 0) -> Trajectory:
     raise ProtocolError naming the offender and the round.
     """
     metric, tau = resolve_metric(config)
+    return _play(config, metric, tau, *_build_sides(config, run_id))
+
+
+def _play(config, metric, tau, alg, adversary, alg_rng) -> Trajectory:
+    """The round loop of run_game, on sides already built."""
     n, horizon = config.n, config.horizon
-    kind = algorithm_kind(config.algorithm)
-    alg_rng = derive_rng(config.seed, run_id, ROLE_ALGORITHM)
-    adv_rng = derive_rng(config.seed, run_id, ROLE_ADVERSARY)
-    alg = build_algorithm(config.algorithm, n, horizon, alg_rng)
-    adversary = build_adversary(config.adversary, n, horizon, adv_rng)
-    measure = _measurer(metric, tau, kind, n)
+    measure = _measurer(metric, tau, algorithm_kind(config.algorithm), n)
 
     records: list[RoundRecord] = []
     errors = np.empty(horizon)
@@ -586,94 +526,59 @@ def _absorb_run(partial: dict, errs: np.ndarray, epsilon, burn_in: int, idx_sq=N
         partial["idx_sumsq"] += idx_sq * idx_sq
 
 
-def _fast_sampler(config: GameConfig):
-    """The adversary's vector sampler when this matchup is vectorizable.
-
-    Requires an algorithm whose queries never depend on feedback (the two
-    uniform-query estimators) and an adversary that can produce its whole
-    sample vector from the query vector alone.
-    """
-    if config.algorithm.name not in ("cdfest", "meanest"):
-        return None
-    return _adversary_entry(config.adversary).fast_samples
-
-
-def _fast_chunk(config, metric, tau, lo, hi, epsilon, sampler, index_stats) -> dict:
-    """Vectorized replay of runs [lo, hi): same streams, same float ops."""
-    n, horizon, seed = config.n, config.horizon, config.seed
-    params = config.adversary.params
-    tt = np.arange(1, horizon + 1, dtype=np.float64)
-    rows = np.arange(horizon)
-    partial = _new_partial(horizon, n, epsilon, index_stats)
-    for run in range(lo, hi):
-        alg_rng = derive_rng(seed, run, ROLE_ALGORITHM)
-        adv_rng = derive_rng(seed, run, ROLE_ADVERSARY)
-        queries = alg_rng.integers(1, n + 1, size=horizon)
-        samples = sampler(params, n, horizon, queries, adv_rng)
-        bits = samples <= queries
-        idx_sq = None
-        if config.algorithm.name == "meanest":
-            above = np.cumsum(~bits)
-            est = 1.0 + (n / tt) * above
-            mu = np.cumsum(samples) / tt
-            errs = np.abs(est - mu) / n
-        else:
-            hits = np.zeros((horizon, n + 2), dtype=np.int64)
-            hits[rows[bits], queries[bits]] = 1
-            tally = np.cumsum(hits, axis=0)
-            fhat = tally * (n / tt)[:, None]
-            fhat[:, 0] = 0.0
-            fhat[:, -1] = 1.0
-            occur = np.zeros((horizon, n + 2), dtype=np.int64)
-            occur[rows, samples] = 1
-            counts = np.cumsum(np.cumsum(occur, axis=0), axis=1)
-            f = counts / tt[:, None]
-            if metric == "cdf":
-                errs = np.max(np.abs(fhat[:, 1:] - f[:, 1:]), axis=1)
-            else:
-                med = np.argmax(fhat[:, 1:] > 0.5, axis=1) + 1
-                lo_vals = np.take_along_axis(f, (med - 1)[:, None], axis=1)[:, 0]
-                hi_vals = np.take_along_axis(f, med[:, None], axis=1)[:, 0]
-                errs = np.maximum(0.0, np.maximum(lo_vals - tau, tau - hi_vals))
-            if index_stats:
-                diff = fhat[-1] - f[-1]
-                idx_sq = diff * diff
-        _absorb_run(partial, errs, epsilon, config.burn_in, idx_sq)
-    return partial
-
-
-def _general_chunk(
-    config, metric, tau, lo, hi, epsilon, index_stats, sink=None, keep_trajectories=False
-) -> dict:
-    partial = _new_partial(config.horizon, config.n, epsilon, index_stats)
-    if keep_trajectories:
-        partial["trajectories"] = []
-    for run in range(lo, hi):
-        trajectory = run_game(config, run_id=run)
-        idx_sq = None
-        if index_stats:
-            diff = trajectory.final_snapshot.values - trajectory.empirical().floats()
-            idx_sq = diff * diff
-        _absorb_run(partial, trajectory.errors, epsilon, config.burn_in, idx_sq)
-        if sink is not None:
-            sink(run, trajectory)
-        if keep_trajectories:
-            partial["trajectories"].append((run, trajectory))
-    return partial
-
-
 def _chunk_worker(args) -> dict:
+    """Partial sums of runs [lo, hi), each run replayed as arrays when its sides allow.
+
+    A run is replayed when the built algorithm has query_batch/estimate_batch
+    and the built adversary has sample_batch, and no trajectories are kept;
+    the replay does the same float operations on the same values as the
+    round loop, so errors are bit-identical.
+    """
     config, lo, hi, epsilon, keep_trajectories = args
     metric, tau = resolve_metric(config)
+    n, horizon = config.n, config.horizon
     index_stats = algorithm_kind(config.algorithm) == "cdf"
+    partial = _new_partial(horizon, n, epsilon, index_stats)
     if keep_trajectories:
-        return _general_chunk(
-            config, metric, tau, lo, hi, epsilon, index_stats, keep_trajectories=True
-        )
-    sampler = _fast_sampler(config)
-    if sampler is not None:
-        return _fast_chunk(config, metric, tau, lo, hi, epsilon, sampler, index_stats)
-    return _general_chunk(config, metric, tau, lo, hi, epsilon, index_stats)
+        partial["trajectories"] = []
+    tt = np.arange(1, horizon + 1, dtype=np.float64)
+    rows = np.arange(horizon)
+    for run in range(lo, hi):
+        alg, adversary, alg_rng = _build_sides(config, run)
+        idx_sq = None
+        if (
+            not keep_trajectories
+            and hasattr(alg, "query_batch")
+            and hasattr(alg, "estimate_batch")
+            and hasattr(adversary, "sample_batch")
+        ):
+            queries = alg.query_batch(alg_rng, horizon)
+            samples = adversary.sample_batch(queries)
+            est = alg.estimate_batch(queries, samples <= queries)
+            if metric == "mean":
+                errs = np.abs(est - np.cumsum(samples) / tt) / n
+            else:
+                occur = np.zeros((horizon, n + 2), dtype=np.int64)
+                occur[rows, samples] = 1
+                f = np.cumsum(np.cumsum(occur, axis=0), axis=1) / tt[:, None]
+                if metric == "cdf":
+                    errs = np.max(np.abs(est[:, 1:] - f[:, 1:]), axis=1)
+                else:
+                    med = np.argmax(est[:, 1:] > 0.5, axis=1) + 1
+                    errs = np.maximum(0.0, np.maximum(f[rows, med - 1] - tau, tau - f[rows, med]))
+                if index_stats:
+                    diff = est[-1] - f[-1]
+                    idx_sq = diff * diff
+        else:
+            trajectory = _play(config, metric, tau, alg, adversary, alg_rng)
+            errs = trajectory.errors
+            if index_stats:
+                diff = trajectory.final_snapshot.values - trajectory.empirical().floats()
+                idx_sq = diff * diff
+            if keep_trajectories:
+                partial["trajectories"].append((run, trajectory))
+        _absorb_run(partial, errs, epsilon, config.burn_in, idx_sq)
+    return partial
 
 
 def monte_carlo(
@@ -690,29 +595,23 @@ def monte_carlo(
     With workers > 1 the fixed-size chunks are farmed to a process pool;
     results are bit-identical to the serial path. A sink receives every
     (run_id, Trajectory) in run order; trajectories are only produced by the
-    scalar game loop, so a sink disables the vectorized shortcut.
+    scalar game loop, so a sink disables the vectorized replay.
     """
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
     metric, tau = resolve_metric(config)
     index_stats = algorithm_kind(config.algorithm) == "cdf"
-    bounds = [(lo, min(lo + CHUNK_RUNS, runs)) for lo in range(0, runs, CHUNK_RUNS)]
-
-    if workers > 1 and len(bounds) > 1:
-        jobs = [(config, lo, hi, epsilon, sink is not None) for lo, hi in bounds]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = []
-            for part in pool.map(_chunk_worker, jobs):
-                for run_id, trajectory in part.pop("trajectories", ()):
-                    sink(run_id, trajectory)
-                partials.append(part)
-    elif sink is not None:
-        partials = [
-            _general_chunk(config, metric, tau, lo, hi, epsilon, index_stats, sink=sink)
-            for lo, hi in bounds
-        ]
-    else:
-        partials = [_chunk_worker((config, lo, hi, epsilon, False)) for lo, hi in bounds]
+    jobs = [
+        (config, lo, min(lo + CHUNK_RUNS, runs), epsilon, sink is not None)
+        for lo in range(0, runs, CHUNK_RUNS)
+    ]
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and len(jobs) > 1 else None
+    partials = []
+    with pool or contextlib.nullcontext():
+        for part in (pool.map if pool else map)(_chunk_worker, jobs):
+            for run_id, trajectory in part.pop("trajectories", ()):
+                sink(run_id, trajectory)
+            partials.append(part)
 
     horizon, n = config.horizon, config.n
     combined = _new_partial(horizon, n, epsilon, index_stats)
@@ -863,7 +762,7 @@ def _jsonable(value):
         return int(value)
     if isinstance(value, (np.floating,)):
         return float(value)
-    if isinstance(value, (AlgorithmSpec, AdversarySpec)):
+    if isinstance(value, ComponentSpec):
         return {"name": value.name, "params": _jsonable(value.params)}
     if isinstance(value, (int, float, str, bool)) or value is None:
         return value
@@ -954,7 +853,7 @@ def breaker_report(algorithm, n: int, horizon: int, seed: int = 0) -> BreakerRep
     """
     from .core import empirical_cdf, quantile_error
 
-    spec = _as_algorithm_spec(algorithm)
+    spec = _as_spec(algorithm, "algorithm")
     if not algorithm_is_deterministic(spec):
         raise ValidationError(f"algorithm {spec.name!r} is not registered as deterministic")
     if algorithm_kind(spec) != "median":

@@ -72,20 +72,15 @@ def parse_component(text: str) -> tuple[str, dict]:
     return name, params
 
 
-def _algorithm_spec(text: str) -> arena.AlgorithmSpec:
-    name, params = parse_component(text)
-    if "inner" in params and isinstance(params["inner"], str):
-        inner_name, inner_params = parse_component(params["inner"])
-        params["inner"] = arena.AlgorithmSpec(inner_name, inner_params)
-    return arena.AlgorithmSpec(name, params)
-
-
-def _adversary_spec(text: str) -> arena.AdversarySpec:
-    name, params = parse_component(text)
-    if "inner" in params and isinstance(params["inner"], str):
-        inner_name, inner_params = parse_component(params["inner"])
-        params["inner"] = arena.AdversarySpec(inner_name, inner_params)
-    return arena.AdversarySpec(name, params)
+def _spec(value):
+    """A component spec from command-line text, whose `inner` may name another
+    component; values from a config file that are not text pass through."""
+    if not isinstance(value, str):
+        return value
+    name, params = parse_component(value)
+    if isinstance(params.get("inner"), str):
+        params["inner"] = arena.ComponentSpec(*parse_component(params["inner"]))
+    return arena.ComponentSpec(name, params)
 
 
 def _resolve(args, config_file: dict, key: str, default):
@@ -204,8 +199,8 @@ def cmd_run(args) -> int:
     config = arena.GameConfig(
         n=n,
         horizon=horizon,
-        algorithm=_algorithm_spec(algo) if isinstance(algo, str) else algo,
-        adversary=_adversary_spec(adv) if isinstance(adv, str) else adv,
+        algorithm=_spec(algo),
+        adversary=_spec(adv),
         metric=metric,
         seed=seed,
     )
@@ -246,8 +241,8 @@ def cmd_complexity(args) -> int:
 
     ns = [int(v) for v in str(n_field).split(",")]
     epss = [float(v) for v in str(eps_field).split(",")]
-    algo_spec = _algorithm_spec(algo) if isinstance(algo, str) else algo
-    adv_spec = _adversary_spec(adv) if isinstance(adv, str) else adv
+    algo_spec = _spec(algo)
+    adv_spec = _spec(adv)
 
     cells = []
     for n in ns:
@@ -322,7 +317,7 @@ def cmd_replay(args) -> int:
     config = arena.GameConfig(
         n=n,
         horizon=horizon,
-        algorithm=_algorithm_spec(algo) if isinstance(algo, str) else algo,
+        algorithm=_spec(algo),
         adversary=arena.AdversarySpec("sequence", {"samples": samples}),
         metric=metric,
         seed=seed,

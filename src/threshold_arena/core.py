@@ -46,23 +46,6 @@ class NondeterminismError(ProtocolError):
 
 
 @dataclass(frozen=True)
-class ProblemInstance:
-    """Support parameter n: queries range over {1..n}, samples over {1..n+1}."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValidationError(f"support parameter n must be >= 2, got {self.n}")
-
-    def is_query(self, q: int) -> bool:
-        return 1 <= q <= self.n
-
-    def is_sample(self, x: int) -> bool:
-        return 1 <= x <= self.n + 1
-
-
-@dataclass(frozen=True)
 class RoundRecord:
     """One time step: (query, hidden sample, feedback bit)."""
 

@@ -80,7 +80,24 @@ class OnlineAlgorithm:
         raise NotImplementedError
 
 
-class CdfEst(OnlineAlgorithm):
+class _UniformQueries(OnlineAlgorithm):
+    """Queries i.i.d. uniform indices whatever the feedback.
+
+    Since the queries ignore feedback, a whole game's queries can be drawn up
+    front: query_batch(rng, horizon) equals `horizon` successive next_query
+    calls and consumes the rng the same way. Subclasses add
+    estimate_batch(queries, feedback), whose row t-1 equals estimate() after
+    round t of a fresh instance, bit for bit.
+    """
+
+    def _query(self, rng: np.random.Generator) -> int:
+        return int(rng.integers(1, self.n + 1))
+
+    def query_batch(self, rng: np.random.Generator, horizon: int) -> np.ndarray:
+        return rng.integers(1, self.n + 1, size=horizon)
+
+
+class CdfEst(_UniformQueries):
     """Uniform-random querying CDF estimator.
 
     Queries i.i.d. uniform indices and tallies positive feedback per index.
@@ -95,9 +112,6 @@ class CdfEst(OnlineAlgorithm):
         super().__init__(n)
         self._tally = np.zeros(n + 2, dtype=np.int64)
 
-    def _query(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(1, self.n + 1))
-
     def _ingest(self, query: int, feedback: int) -> None:
         if feedback:
             self._tally[query] += 1
@@ -110,11 +124,22 @@ class CdfEst(OnlineAlgorithm):
         values[-1] = 1.0
         return CdfEstimate._trusted(self.n, values)
 
+    def estimate_batch(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
+        """Row t-1 holds estimate().values after round t: a T x (n+2) array."""
+        horizon = len(queries)
+        hit = np.flatnonzero(feedback)
+        hits = np.zeros((horizon, self.n + 2), dtype=np.int64)
+        hits[hit, queries[hit]] = 1
+        tally = np.cumsum(hits, axis=0)
+        values = tally * (self.n / np.arange(1, horizon + 1, dtype=np.float64))[:, None]
+        values[:, -1] = 1.0
+        return values
+
     def snapshot(self) -> CdfEstimate:
         return self.estimate()
 
 
-class MeanEst(OnlineAlgorithm):
+class MeanEst(_UniformQueries):
     """Uniform-random querying mean estimator.
 
     Tracks how often the hidden sample exceeded the query; 1 + (n/t) * count
@@ -127,9 +152,6 @@ class MeanEst(OnlineAlgorithm):
         super().__init__(n)
         self._above = 0
 
-    def _query(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(1, self.n + 1))
-
     def _ingest(self, query: int, feedback: int) -> None:
         if not feedback:
             self._above += 1
@@ -138,6 +160,11 @@ class MeanEst(OnlineAlgorithm):
         if self.t == 0:
             raise ValidationError("no observations yet")
         return 1.0 + (self.n / self.t) * self._above
+
+    def estimate_batch(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
+        """Entry t-1 is estimate() after round t."""
+        above = np.cumsum(feedback == 0)
+        return 1.0 + (self.n / np.arange(1, len(queries) + 1, dtype=np.float64)) * above
 
     def snapshot(self) -> float:
         return self.estimate()
@@ -494,12 +521,6 @@ class QuantileReduction(OnlineAlgorithm):
         return _median_of(self.inner)
 
 
-def quantile_reduction(
-    inner: OnlineAlgorithm, tau: float, rng: np.random.Generator | None = None
-) -> QuantileReduction:
-    return QuantileReduction(inner, tau, rng)
-
-
 class ConfidenceBoost(OnlineAlgorithm):
     """Random-routing ensemble returning the median of its copies' estimates.
 
@@ -559,16 +580,6 @@ class ConfidenceBoost(OnlineAlgorithm):
             return float(np.median([c.snapshot() for c in live]))
         estimates = sorted(int(c.snapshot()) for c in live)
         return estimates[(len(estimates) - 1) // 2]
-
-
-def confidence_boost(
-    factory: Callable[[], OnlineAlgorithm],
-    delta: float,
-    rng: np.random.Generator,
-    copies: int | None = None,
-    scale: float = BOOST_COPIES_SCALE,
-) -> ConfidenceBoost:
-    return ConfidenceBoost(factory, delta, rng, copies=copies, scale=scale)
 
 
 # ---------------------------------------------------------------------------

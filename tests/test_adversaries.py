@@ -27,7 +27,7 @@ from threshold_arena import (
     point_mass_pmf,
     quantile_error,
     save_sample_sequence,
-    uniform_adversary,
+    uniform_pmf,
 )
 from threshold_arena.estimators import HalvingBaseline, MidpointBaseline
 
@@ -53,7 +53,7 @@ class TestStochasticAdversary:
 
     def test_uniform_frequencies(self):
         n, rounds = 5, 100_000
-        adv = uniform_adversary(n, rng(2))
+        adv = StochasticAdversary(uniform_pmf(n), rng(2))
         samples = np.array(draw(adv, rounds))
         assert samples.max() <= n  # never n+1
         freqs = np.bincount(samples, minlength=n + 2)[1 : n + 1] / rounds
@@ -79,6 +79,8 @@ class TestStochasticAdversary:
             StochasticAdversary([0.5, 0.6, -0.1], rng())
         with pytest.raises(ValidationError, match="sums"):
             StochasticAdversary([0.5, 0.1, 0.1], rng())
+        with pytest.raises(ValidationError, match="sums to nan"):
+            StochasticAdversary([0.5, float("nan"), 0.5], rng())
 
 
 class TestCdfLbFamily:
@@ -240,12 +242,38 @@ class TestSequence:
         draw(adv, 2)
         with pytest.raises(ValidationError, match="exhausted"):
             adv.next_sample([RoundRecord.play(t, 1, 2) for t in (1, 2)])
+        with pytest.raises(ValidationError, match="exhausted"):
+            adv.sample_batch(np.ones(3, dtype=np.int64))
 
     def test_bad_file(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1\ntwo\n")
         with pytest.raises(ValidationError):
             load_sample_sequence(path)
+
+
+_BATCH_SAMPLERS = {
+    "stochastic": lambda g: StochasticAdversary(cdf_lb_family(16, Fraction(1, 40), "alt"), g),
+    "coin": lambda g: ConstantCoinAdversary(16, g),
+    "mirror": lambda g: AdaptiveMirrorAdversary(16),
+    "sequence": lambda g: SequenceAdversary([(5 * t) % 17 + 1 for t in range(80)], 16),
+    "median-lb": lambda g: MedianLbAdversary(MedianLbConfig(4, 1, Fraction(1, 40), "+-+-"), g),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_SAMPLERS))
+def test_sample_batch_replays_next_sample(name):
+    # 70 rounds cross both median-lb phases and its intended horizon of 32
+    make = _BATCH_SAMPLERS[name]
+    queries = rng(7).integers(1, 17, size=70)
+    g_batch, g_live = rng(3), rng(3)
+    batch = make(g_batch).sample_batch(queries)
+    live, history = make(g_live), []
+    for t, q in enumerate(queries, start=1):
+        history.append(RoundRecord.play(t, int(q), live.next_sample(history)))
+    assert batch.dtype == np.int64
+    assert batch.tolist() == [r.sample for r in history]
+    assert g_batch.random() == g_live.random()  # same rng consumption
 
 
 class TestAnytimeAmplifier:

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import threshold_arena.arena as arena_mod
 from threshold_arena import (
     AdversarySpec,
     ProtocolError,
@@ -265,41 +264,73 @@ class TestMonteCarlo:
         assert np.array_equal(summary.mse, summary.mean_error**2)
 
     @pytest.mark.parametrize(
-        "algorithm,metric,adversary",
+        "algorithm,metric,adversary,options",
         [
-            ("cdfest", "cdf", "uniform"),
-            ("cdfest", "median", AdversarySpec("cdf-lb", {"epsilon": 0.02})),
-            ("cdfest", "cdf", "mirror"),
-            ("cdfest", "median", "coin"),
-            ("meanest", "mean", "uniform"),
-            ("meanest", "mean", "mirror"),
-            ("meanest", "mean", AdversarySpec("median-lb", {"k": 4, "m": 1, "epsilon": "1/32"})),
+            # explicit ids keep the names of the first seven cases stable
+            pytest.param("cdfest", "cdf", "uniform", {}, id="cdfest-cdf-uniform"),
+            pytest.param(
+                "cdfest", "median", AdversarySpec("cdf-lb", {"epsilon": 0.02}), {},
+                id="cdfest-median-adversary1",
+            ),
+            pytest.param("cdfest", "cdf", "mirror", {}, id="cdfest-cdf-mirror"),
+            pytest.param("cdfest", "median", "coin", {}, id="cdfest-median-coin"),
+            pytest.param("meanest", "mean", "uniform", {}, id="meanest-mean-uniform"),
+            pytest.param("meanest", "mean", "mirror", {}, id="meanest-mean-mirror"),
+            pytest.param(
+                "meanest", "mean", AdversarySpec("median-lb", {"k": 4, "m": 1, "epsilon": "1/32"}), {},
+                id="meanest-mean-adversary6",
+            ),
+            pytest.param(
+                "cdfest", "cdf", AdversarySpec("point-mass", {"j": 5}), {}, id="cdfest-cdf-point-mass"
+            ),
+            pytest.param(
+                "cdfest", "cdf", AdversarySpec("stochastic", {"pmf": [1 / 16] * 8 + [0.0] * 4 + [1 / 8] * 4 + [0.0]}), {},
+                id="cdfest-cdf-stochastic",
+            ),
+            pytest.param(
+                "cdfest", "cdf", AdversarySpec("sequence", {"samples": [(5 * t) % 17 + 1 for t in range(48)]}), {},
+                id="cdfest-cdf-sequence",
+            ),
+            pytest.param(
+                "cdfest", "cdf", AdversarySpec("cdf-lb", {"epsilon": 0.02, "sigma": "alt"}), {},
+                id="cdfest-cdf-cdf-lb",
+            ),
+            pytest.param("meanest", "mean", "coin", {}, id="meanest-mean-coin"),
+            pytest.param(
+                "cdfest", "median", "uniform", {"anytime": True, "burn_in": 10}, id="cdfest-median-anytime"
+            ),
         ],
     )
-    def test_fast_path_matches_general_path_bitwise(self, algorithm, metric, adversary):
-        config = GameConfig(n=16, horizon=48, algorithm=algorithm, adversary=adversary, metric=metric, seed=13)
+    def test_fast_path_matches_general_path_bitwise(self, algorithm, metric, adversary, options):
+        config = GameConfig(
+            n=16, horizon=48, algorithm=algorithm, adversary=adversary, metric=metric, seed=13, **options
+        )
         runs = 2 * CHUNK_RUNS + 5
         fast = monte_carlo(config, runs, epsilon=0.3)
-        # force the general loop through the same chunking
-        metric_r, tau = resolve_metric(config)
+        # reference: the round loop, summed in the same chunks and order
+        games = [run_game(config, run_id=r) for r in range(runs)]
         idx = algorithm_kind(config.algorithm) == "cdf"
-        bounds = [(lo, min(lo + CHUNK_RUNS, runs)) for lo in range(0, runs, CHUNK_RUNS)]
-        parts = [
-            arena_mod._general_chunk(config, metric_r, tau, lo, hi, 0.3, idx) for lo, hi in bounds
-        ]
-        sum_err = parts[0]["sum_err"].copy()
-        sum_sq = parts[0]["sum_sq"].copy()
-        for p in parts[1:]:
-            sum_err += p["sum_err"]
-            sum_sq += p["sum_sq"]
-        finals = np.concatenate([p["finals"] for p in parts])
+
+        def squared(x):
+            return x * x
+
+        sum_err, sum_sq, idx_sum = np.zeros(48), np.zeros(48), np.zeros(18)
+        for lo in range(0, runs, CHUNK_RUNS):
+            chunk = games[lo : lo + CHUNK_RUNS]
+            sum_err += sum((g.errors for g in chunk), np.zeros(48))
+            sum_sq += sum((squared(g.errors) for g in chunk), np.zeros(48))
+            if idx:
+                idx_sum += sum(
+                    (squared(g.final_snapshot.values - g.empirical().floats()) for g in chunk),
+                    np.zeros(18),
+                )
         assert np.array_equal(fast.mean_error, sum_err / runs)
         assert np.array_equal(fast.mse, sum_sq / runs)
-        assert np.array_equal(fast.final_errors, finals)
+        assert np.array_equal(fast.final_errors, [g.errors[-1] for g in games])
+        assert np.array_equal(fast.success_rate, sum(g.errors <= 0.3 for g in games) / runs)
+        anytime = sum(bool((g.errors[config.burn_in :] <= 0.3).all()) for g in games)
+        assert fast.success_anytime == anytime / runs
         if idx:
-            idx_sum = parts[0]["idx_sum"].copy()
-            for p in parts[1:]:
-                idx_sum += p["idx_sum"]
             assert np.array_equal(fast.index_mse, idx_sum / runs)
 
     def test_worker_count_does_not_change_results(self):
@@ -336,6 +367,39 @@ class TestMonteCarlo:
         )
         summary = monte_carlo(config, 4, epsilon=0.01)
         assert summary.success_anytime == 1.0  # zero error at every round
+
+
+@pytest.mark.parametrize(
+    "algorithm,adversary,message",
+    [
+        ("cdfest", AdversarySpec("stochastic", {"pmf": [0.6, 0.6, -0.2, 0, 0]}), "pmf has a negative entry at value 3"),
+        ("cdfest", AdversarySpec("stochastic", {"pmf": [0.2, 0.1, 0.1, 0.1, 0]}), "pmf sums to 0.5, not 1"),
+        ("meanest", AdversarySpec("stochastic", {"pmf": [0.5, 0.5]}), "pmf must have n+1 = 5 entries, got 2"),
+        (
+            "cdfest",
+            AdversarySpec("sequence", {"samples": [1, 2, 3]}),
+            "sample sequence exhausted after 3 rounds, before the horizon 8",
+        ),
+        ("meanest", AdversarySpec("sequence", {"samples": [1, 6] * 4}), "sample 6 outside 1..5"),
+        (
+            "cdfest",
+            AdversarySpec("median-lb", {"k": 4, "m": 1, "epsilon": 0}),
+            "median-lb config has n = 4k = 16, game has n = 4",
+        ),
+    ],
+    ids=["negative-pmf", "pmf-sum", "pmf-length", "short-sequence", "sequence-range", "median-lb-n"],
+)
+def test_engines_reject_the_same_inputs(algorithm, adversary, message):
+    config = GameConfig(n=4, horizon=8, algorithm=algorithm, adversary=adversary, seed=1)
+    entry_points = [
+        lambda: validate_config(config),
+        lambda: monte_carlo(config, 4),  # vectorized replay
+        lambda: monte_carlo(config, 4, sink=lambda run_id, tr: None),  # round loop
+    ]
+    for call in entry_points:
+        with pytest.raises(ValidationError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 class TestQueryComplexity:

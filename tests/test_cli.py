@@ -87,6 +87,15 @@ class TestRun:
         assert len(payload["mse"]) == 16  # flag wins over file
         assert payload["config"]["seed"] == 1
 
+    @pytest.mark.parametrize(
+        "algo", [{"params": {}}, {"name": "cdfest", "params": [1, 2]}], ids=["no-name", "list-params"]
+    )
+    def test_malformed_config_spec_exits_2(self, tmp_path, capsys, algo):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"algo": algo, "adv": "uniform", "n": 4, "T": 8, "workers": 1}))
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "as an algorithm spec" in capsys.readouterr().err
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("THRESHOLD_ARENA_SEED", "99")
         env_out = tmp_path / "env"

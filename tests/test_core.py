@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from threshold_arena import (
     CdfEstimate,
-    ProblemInstance,
     RoundRecord,
     ValidationError,
     empirical_cdf,
@@ -16,14 +15,6 @@ from threshold_arena import (
     median_from_cdf,
     quantile_error,
 )
-
-
-def test_problem_instance_ranges():
-    inst = ProblemInstance(5)
-    assert inst.is_query(1) and inst.is_query(5) and not inst.is_query(6)
-    assert inst.is_sample(6) and not inst.is_sample(7) and not inst.is_sample(0)
-    with pytest.raises(ValidationError):
-        ProblemInstance(1)
 
 
 def test_round_record_feedback_consistency():

@@ -14,10 +14,8 @@ from threshold_arena import (
     ProtocolError,
     QuantileReduction,
     ValidationError,
-    confidence_boost,
     empirical_cdf,
     median_from_cdf,
-    quantile_reduction,
 )
 
 
@@ -159,6 +157,23 @@ def test_exact_unbiasedness_small_enumeration():
     assert abs(acc_mu / count - float(f.mean())) < 1e-12
 
 
+@pytest.mark.parametrize("cls", [CdfEst, MeanEst])
+def test_batch_methods_replay_live_play(cls):
+    n, horizon = 7, 60
+    samples = rng(4).integers(1, n + 2, size=horizon)
+    g_batch, g_live = rng(5), rng(5)
+    queries = cls(n).query_batch(g_batch, horizon)
+    feedback = samples <= queries
+    batch = cls(n).estimate_batch(queries, feedback)
+    alg = cls(n)
+    for t in range(horizon):
+        assert alg.next_query(g_live) == queries[t]
+        alg.observe(int(feedback[t]))
+        live = alg.estimate()
+        assert np.array_equal(batch[t], live.values if cls is CdfEst else live)
+    assert g_batch.random() == g_live.random()  # same rng consumption
+
+
 def test_alternation_protocol_enforced():
     alg = CdfEst(4)
     with pytest.raises(ProtocolError, match="observe"):
@@ -196,7 +211,7 @@ class TestQuantileReduction:
             QuantileReduction(MeanEst(4), 0.75, rng())
 
     def test_identity_wrapper_draws_nothing(self):
-        wrapper = quantile_reduction(_BitRecorder(4), 0.5, rng=None)
+        wrapper = QuantileReduction(_BitRecorder(4), 0.5, rng=None)
         g = rng(1)
         for bit in (1, 0, 1, 1):
             wrapper.next_query(g)
@@ -204,7 +219,7 @@ class TestQuantileReduction:
         assert wrapper.inner.bits == [1, 0, 1, 1]
 
     def test_zero_bit_stays_zero_above_half(self):
-        wrapper = quantile_reduction(_BitRecorder(4), 0.75, rng(5))
+        wrapper = QuantileReduction(_BitRecorder(4), 0.75, rng(5))
         g = rng(1)
         for _ in range(200):
             wrapper.next_query(g)
@@ -213,7 +228,7 @@ class TestQuantileReduction:
 
     def test_one_bit_thinned_above_half(self):
         # tau = 3/4: a positive bit survives with probability 1/(2 tau) = 2/3
-        wrapper = quantile_reduction(_BitRecorder(4), 0.75, rng(5))
+        wrapper = QuantileReduction(_BitRecorder(4), 0.75, rng(5))
         g = rng(1)
         trials = 30_000
         for _ in range(trials):
@@ -225,7 +240,7 @@ class TestQuantileReduction:
 
     def test_zero_bit_lifted_below_half(self):
         # tau = 1/4: a zero bit flips to one with probability 1 - 1/(2(1-tau)) = 1/3
-        wrapper = quantile_reduction(_BitRecorder(4), 0.25, rng(6))
+        wrapper = QuantileReduction(_BitRecorder(4), 0.25, rng(6))
         g = rng(1)
         trials = 30_000
         for _ in range(trials):
@@ -240,7 +255,7 @@ class TestQuantileReduction:
 
     def test_snapshot_passes_through_inner_median(self):
         inner = CdfEst(4)
-        wrapper = quantile_reduction(inner, 0.5, rng=None)
+        wrapper = QuantileReduction(inner, 0.5, rng=None)
         g = rng(2)
         wrapper.next_query(g)
         wrapper.observe(1)
@@ -268,12 +283,12 @@ class _FixedMean(OnlineAlgorithm):
 class TestConfidenceBoost:
     def test_delta_validation(self):
         with pytest.raises(ValidationError):
-            confidence_boost(lambda: MeanEst(4), 0.5, rng())
+            ConfidenceBoost(lambda: MeanEst(4), 0.5, rng())
         with pytest.raises(ValidationError):
-            confidence_boost(lambda: MeanEst(4), 0.0, rng())
+            ConfidenceBoost(lambda: MeanEst(4), 0.0, rng())
 
     def test_copy_count(self):
-        boost = confidence_boost(lambda: MeanEst(4), 0.05, rng())
+        boost = ConfidenceBoost(lambda: MeanEst(4), 0.05, rng())
         assert boost.k == int(np.ceil(18 * np.log(1 / 0.05)))
 
     def test_single_copy_is_identity(self):
