@@ -1,8 +1,8 @@
 """Sample-producing opponents for the threshold-query protocol.
 
 Each adversary exposes next_sample(history) -> sample in {1..n+1}, where
-history is the list of completed RoundRecords (queries, feedback bits, and
-the adversary's own past samples through round t-1). Oblivious adversaries
+history is the read-only sequence of completed RoundRecords (queries,
+feedback bits, and the adversary's own past samples through round t-1). Oblivious adversaries
 ignore history entirely; the sample for the current round can never depend on
 the current query. Instances are single-run: build a fresh one per game.
 
@@ -25,7 +25,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from collections.abc import Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -371,6 +372,36 @@ def amplifier_checkpoints(t0: int = 1) -> Iterator[int]:
         total *= 33
 
 
+class _HistoryTail(Sequence):
+    """Read-only view of history[start:] that copies nothing.
+
+    Indexing, negative indices and slices behave as on the sliced list;
+    slices return lists. Views nest, so amplifiers may wrap amplifiers.
+    """
+
+    __slots__ = ("_history", "_start")
+
+    def __init__(self, history: Sequence[RoundRecord], start: int):
+        self._history = history
+        self._start = start
+
+    def __len__(self) -> int:
+        return max(0, len(self._history) - self._start)
+
+    def __bool__(self) -> bool:
+        return len(self._history) > self._start
+
+    def __getitem__(self, index):
+        size = len(self)
+        if isinstance(index, slice):
+            return [self._history[self._start + i] for i in range(*index.indices(size))]
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("history index out of range")
+        return self._history[self._start + index]
+
+
 class AnytimeAdversary(Adversary):
     """Plays fixed-horizon adversaries on segments of 33x-growing extent.
 
@@ -394,7 +425,7 @@ class AnytimeAdversary(Adversary):
             self._segment_start += self._segment_len
             self._segment_len = 32 * self._segment_start
             self._segment = self._factory(self._segment_len)
-        return self._segment.next_sample(history[self._segment_start :])
+        return self._segment.next_sample(_HistoryTail(history, self._segment_start))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ recorded every round against the exact running empirical CDF / mean.
 Everything is reproducible: a master seed is split into independent
 per-(run, role) lanes via numpy SeedSequence spawn keys, and runs are
 aggregated in a fixed chunk order regardless of worker count. Monte Carlo
-builds both sides of every run once; when the algorithm has query_batch and
-estimate_batch and the adversary has sample_batch (queries that ignore
-feedback, samples that depend only on queries), the run is replayed as
-arrays from the very same random streams, else it is played round by round.
+builds both sides of every run once; when a cdf- or mean-kind algorithm has
+query_batch and estimate_batch and the adversary has sample_batch (queries
+that ignore feedback, samples that depend only on queries), the run is
+replayed as arrays from the very same random streams, else it is played
+round by round. Either engine yields the same columnar Trajectory, which is
+what sinks and the CSV export consume.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .core import (
+    CdfEstimate,
     ProtocolError,
     RoundRecord,
     Trajectory,
@@ -412,9 +415,12 @@ def _play(config, metric, tau, alg, adversary, alg_rng) -> Trajectory:
     n, horizon = config.n, config.horizon
     measure = _measurer(metric, tau, algorithm_kind(config.algorithm), n)
 
-    records: list[RoundRecord] = []
+    records: list[RoundRecord] = []  # the adversary's view of history
+    queries = np.empty(horizon, dtype=np.int64)
+    samples = np.empty(horizon, dtype=np.int64)
+    feedback = np.empty(horizon, dtype=np.int64)
     errors = np.empty(horizon)
-    estimates: list = []
+    estimates = np.empty(horizon, dtype=np.float64 if metric == "mean" else np.int64)
     cum = np.zeros(n + 2, dtype=np.int64)
     total = 0
     for t in range(1, horizon + 1):
@@ -433,13 +439,19 @@ def _play(config, metric, tau, alg, adversary, alg_rng) -> Trajectory:
             err, est = measure(alg, cum, t, total)
         except ValidationError as exc:
             raise ProtocolError("algorithm", t, str(exc))
-        errors[t - 1] = err
-        estimates.append(est)
+        i = t - 1
+        queries[i] = q
+        samples[i] = x
+        feedback[i] = b
+        errors[i] = err
+        estimates[i] = est
     return Trajectory(
         n=n,
         metric=metric,
         tau=tau,
-        records=records,
+        queries=queries,
+        samples=samples,
+        feedback=feedback,
         errors=errors,
         estimates=estimates,
         final_snapshot=alg.snapshot(),
@@ -459,11 +471,11 @@ def recompute_errors(trajectory: Trajectory) -> np.ndarray:
     cum = np.zeros(n + 2, dtype=np.int64)
     total = 0
     out = np.empty(trajectory.horizon)
-    for idx, record in enumerate(trajectory.records):
-        cum[record.sample :] += 1
-        total += record.sample
+    rounds = zip(trajectory.samples.tolist(), trajectory.estimates.tolist())
+    for idx, (x, est) in enumerate(rounds):
+        cum[x:] += 1
+        total += x
         t = idx + 1
-        est = trajectory.estimates[idx]
         if trajectory.metric == "mean":
             out[idx] = mean_error(float(est), total / t, n)
         else:
@@ -529,54 +541,70 @@ def _absorb_run(partial: dict, errs: np.ndarray, epsilon, burn_in: int, idx_sq=N
 def _chunk_worker(args) -> dict:
     """Partial sums of runs [lo, hi), each run replayed as arrays when its sides allow.
 
-    A run is replayed when the built algorithm has query_batch/estimate_batch
-    and the built adversary has sample_batch, and no trajectories are kept;
-    the replay does the same float operations on the same values as the
-    round loop, so errors are bit-identical.
+    A run is replayed when the algorithm is cdf- or mean-kind, the built
+    algorithm has query_batch/estimate_batch and the built adversary has
+    sample_batch; the replay does the same float operations on the same
+    values as the round loop, so errors, estimates and trajectories are
+    bit-identical.
     """
     config, lo, hi, epsilon, keep_trajectories = args
     metric, tau = resolve_metric(config)
     n, horizon = config.n, config.horizon
-    index_stats = algorithm_kind(config.algorithm) == "cdf"
+    kind = algorithm_kind(config.algorithm)
+    index_stats = kind == "cdf"
     partial = _new_partial(horizon, n, epsilon, index_stats)
     if keep_trajectories:
         partial["trajectories"] = []
-    tt = np.arange(1, horizon + 1, dtype=np.float64)
-    rows = np.arange(horizon)
+    tt = rows = None  # built on the first replayed run
     for run in range(lo, hi):
         alg, adversary, alg_rng = _build_sides(config, run)
         idx_sq = None
         if (
-            not keep_trajectories
+            kind in ("cdf", "mean")
             and hasattr(alg, "query_batch")
             and hasattr(alg, "estimate_batch")
             and hasattr(adversary, "sample_batch")
         ):
+            if tt is None:
+                tt = np.arange(1, horizon + 1, dtype=np.float64)
+                rows = np.arange(horizon)
             queries = alg.query_batch(alg_rng, horizon)
             samples = adversary.sample_batch(queries)
-            est = alg.estimate_batch(queries, samples <= queries)
+            feedback = samples <= queries
+            # est is T x (n+2) for cdf-kind algorithms: only this frame holds
+            # it, and nothing kept below is a view of it.
+            est = alg.estimate_batch(queries, feedback)
             if metric == "mean":
                 errs = np.abs(est - np.cumsum(samples) / tt) / n
             else:
                 occur = np.zeros((horizon, n + 2), dtype=np.int64)
                 occur[rows, samples] = 1
                 f = np.cumsum(np.cumsum(occur, axis=0), axis=1) / tt[:, None]
+                if metric == "median" or keep_trajectories:
+                    med = np.argmax(est[:, 1:] > 0.5, axis=1) + 1
                 if metric == "cdf":
                     errs = np.max(np.abs(est[:, 1:] - f[:, 1:]), axis=1)
                 else:
-                    med = np.argmax(est[:, 1:] > 0.5, axis=1) + 1
                     errs = np.maximum(0.0, np.maximum(f[rows, med - 1] - tau, tau - f[rows, med]))
-                if index_stats:
-                    diff = est[-1] - f[-1]
-                    idx_sq = diff * diff
+                diff = est[-1] - f[-1]
+                idx_sq = diff * diff
+            if keep_trajectories:
+                if metric == "mean":
+                    estimates, final = est, float(est[-1])
+                else:
+                    estimates, final = med, CdfEstimate._trusted(n, est[-1].copy())
+                trajectory = Trajectory(
+                    n, metric, tau, queries, samples, feedback.astype(np.int64), errs,
+                    estimates, final,
+                )
         else:
             trajectory = _play(config, metric, tau, alg, adversary, alg_rng)
             errs = trajectory.errors
             if index_stats:
                 diff = trajectory.final_snapshot.values - trajectory.empirical().floats()
                 idx_sq = diff * diff
-            if keep_trajectories:
-                partial["trajectories"].append((run, trajectory))
+        if keep_trajectories:
+            partial["trajectories"].append((run, trajectory))
         _absorb_run(partial, errs, epsilon, config.burn_in, idx_sq)
     return partial
 
@@ -594,8 +622,8 @@ def monte_carlo(
     equals what r separate run_game(config, run_id=r) calls would produce.
     With workers > 1 the fixed-size chunks are farmed to a process pool;
     results are bit-identical to the serial path. A sink receives every
-    (run_id, Trajectory) in run order; trajectories are only produced by the
-    scalar game loop, so a sink disables the vectorized replay.
+    (run_id, Trajectory) in run order; the vectorized replay and the round
+    loop build equal trajectories, so a sink does not change the engine.
     """
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
@@ -723,13 +751,24 @@ def trajectory_csv_header(reveal_samples: bool = False) -> str:
     return TRAJECTORY_CSV_HEADER + (",sample" if reveal_samples else "")
 
 
-def trajectory_csv_rows(run_id, trajectory: Trajectory, reveal_samples: bool = False):
-    """Yield one CSV line per round; hidden samples only on request."""
-    for record, err in zip(trajectory.records, trajectory.errors):
-        row = f"{run_id},{record.t},{record.query},{record.feedback},{float(err)!r}"
-        if reveal_samples:
-            row += f",{record.sample}"
-        yield row
+def trajectory_csv_text(run_id, trajectory: Trajectory, reveal_samples: bool = False) -> str:
+    """All CSV lines of one trajectory as one string; hidden samples only on request.
+
+    Each column becomes Python scalars once, and errors print as
+    repr(float), so the text does not depend on the numpy version.
+    """
+    columns = [
+        range(1, trajectory.horizon + 1),
+        trajectory.queries.tolist(),
+        trajectory.feedback.tolist(),
+        trajectory.errors.tolist(),
+    ]
+    line = f"{run_id},".replace("%", "%%") + "%d,%d,%d,%r"
+    if reveal_samples:
+        columns.append(trajectory.samples.tolist())
+        line += ",%d"
+    line += "\n"
+    return "".join([line % values for values in zip(*columns)])
 
 
 def write_trajectory_csv(path, trajectories, reveal_samples: bool = False) -> None:
@@ -740,8 +779,7 @@ def write_trajectory_csv(path, trajectories, reveal_samples: bool = False) -> No
     with open(path, "w") as fh:
         fh.write(trajectory_csv_header(reveal_samples) + "\n")
         for run_id, trajectory in trajectories:
-            for row in trajectory_csv_rows(run_id, trajectory, reveal_samples):
-                fh.write(row + "\n")
+            fh.write(trajectory_csv_text(run_id, trajectory, reveal_samples))
 
 
 def config_to_dict(config: GameConfig) -> dict:
@@ -875,9 +913,7 @@ def breaker_report(algorithm, n: int, horizon: int, seed: int = 0) -> BreakerRep
 
     left_run = replay(pair.left)
     right_run = replay(pair.right)
-    feedback_identical = (
-        [r.feedback for r in left_run.records] == [r.feedback for r in right_run.records]
-    )
+    feedback_identical = np.array_equal(left_run.feedback, right_run.feedback)
     estimate = int(left_run.estimates[-1])
     error_left = quantile_error(empirical_cdf(pair.left, n), estimate, Fraction(1, 2))
     error_right = quantile_error(empirical_cdf(pair.right, n), int(right_run.estimates[-1]), Fraction(1, 2))

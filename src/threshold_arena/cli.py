@@ -182,6 +182,17 @@ def _require(value, name: str):
     return value
 
 
+def _monte_carlo_to_csv(config, runs, eps, workers, csv_path, reveal: bool):
+    """monte_carlo whose sink appends each trajectory's rows to csv_path."""
+    with open(csv_path, "w") as fh:
+        fh.write(arena.trajectory_csv_header(reveal) + "\n")
+
+        def sink(run_id, trajectory):
+            fh.write(arena.trajectory_csv_text(run_id, trajectory, reveal))
+
+        return arena.monte_carlo(config, runs, epsilon=eps, workers=workers, sink=sink)
+
+
 def cmd_run(args) -> int:
     file_cfg = _load_config_file(args.config)
     algo = _require(_resolve(args, file_cfg, "algo", None), "algo")
@@ -210,14 +221,7 @@ def cmd_run(args) -> int:
 
     csv_path = out / "trajectory.csv"
     json_path = out / "summary.json"
-    with open(csv_path, "w") as fh:
-        fh.write(arena.trajectory_csv_header(reveal) + "\n")
-
-        def sink(run_id, trajectory):
-            for row in arena.trajectory_csv_rows(run_id, trajectory, reveal):
-                fh.write(row + "\n")
-
-        summary = arena.monte_carlo(config, runs, epsilon=eps, workers=workers, sink=sink)
+    summary = _monte_carlo_to_csv(config, runs, eps, workers, csv_path, reveal)
     arena.write_summary_json(json_path, summary)
     print(f"wrote {csv_path} and {json_path}")
     if eps is not None:
@@ -326,14 +330,7 @@ def cmd_replay(args) -> int:
 
     csv_path = out / "replay.csv"
     json_path = out / "replay-summary.json"
-    with open(csv_path, "w") as fh:
-        fh.write(arena.trajectory_csv_header(reveal) + "\n")
-
-        def sink(run_id, trajectory):
-            for row in arena.trajectory_csv_rows(run_id, trajectory, reveal):
-                fh.write(row + "\n")
-
-        summary = arena.monte_carlo(config, runs, epsilon=eps, sink=sink)
+    summary = _monte_carlo_to_csv(config, runs, eps, 1, csv_path, reveal)
     arena.write_summary_json(json_path, summary)
     print(f"wrote {csv_path} and {json_path}")
     return 0

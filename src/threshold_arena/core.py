@@ -217,34 +217,43 @@ def _quantile_error_floats(f: np.ndarray, m_hat: int, tau: float) -> float:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Round-by-round log of a single game plus its error series.
+    """One game as columns: entry t-1 of every array belongs to round t.
 
-    errors[t-1] is the configured metric's error after round t; estimates
-    holds the matching scalar estimate per round (median or quantile index,
-    or mean value). final_snapshot is the algorithm's full estimate at the
-    horizon (a CdfEstimate for CDF-kind algorithms).
+    queries, samples and feedback are int64 arrays of the round triples;
+    errors holds the configured metric's error after each round, and
+    estimates the matching scalar estimate (int64 median or quantile index,
+    or float64 mean). final_snapshot is the algorithm's full estimate at the
+    horizon (a CdfEstimate for CDF-kind algorithms). records rebuilds the
+    per-round RoundRecord list on demand.
     """
 
     n: int
     metric: str
     tau: float
-    records: list[RoundRecord]
+    queries: np.ndarray
+    samples: np.ndarray
+    feedback: np.ndarray
     errors: np.ndarray
-    estimates: list
+    estimates: np.ndarray
     final_snapshot: Any = None
 
     def __post_init__(self) -> None:
-        if len(self.errors) != len(self.records):
+        columns = ("queries", "samples", "feedback", "errors", "estimates")
+        lengths = [len(getattr(self, name)) for name in columns]
+        if len(set(lengths)) != 1:
             raise ValidationError(
-                f"error series length {len(self.errors)} != rounds {len(self.records)}"
+                "trajectory columns differ in length: "
+                + ", ".join(f"{name} {size}" for name, size in zip(columns, lengths))
             )
 
     @property
     def horizon(self) -> int:
-        return len(self.records)
+        return len(self.errors)
 
-    def samples(self) -> list[int]:
-        return [r.sample for r in self.records]
+    @property
+    def records(self) -> list[RoundRecord]:
+        rounds = zip(self.queries.tolist(), self.samples.tolist(), self.feedback.tolist())
+        return [RoundRecord(t, q, x, b) for t, (q, x, b) in enumerate(rounds, start=1)]
 
     def empirical(self) -> EmpiricalCdf:
-        return empirical_cdf(self.samples(), self.n)
+        return empirical_cdf(self.samples, self.n)

@@ -29,6 +29,7 @@ from threshold_arena import (
     save_sample_sequence,
     uniform_pmf,
 )
+from threshold_arena.adversaries import _HistoryTail
 from threshold_arena.estimators import HalvingBaseline, MidpointBaseline
 
 
@@ -276,6 +277,55 @@ def test_sample_batch_replays_next_sample(name):
     assert g_batch.random() == g_live.random()  # same rng consumption
 
 
+class _SlicingAmplifier(AnytimeAdversary):
+    """The amplifier as first written: each round hands its segment a copied
+    slice of the history. Reference for the offset view."""
+
+    def next_sample(self, history):
+        if len(history) - self._segment_start >= self._segment_len:
+            self._segment_start += self._segment_len
+            self._segment_len = 32 * self._segment_start
+            self._segment = self._factory(self._segment_len)
+        return self._segment.next_sample(list(history[self._segment_start :]))
+
+
+_AMPLIFIED = {
+    "mirror": lambda cls, g: cls(lambda segment: AdaptiveMirrorAdversary(16), t0=1),
+    "median-lb": lambda cls, g: cls(
+        lambda segment: MedianLbAdversary(MedianLbConfig(4, 20, Fraction(1, 40), "+-+-"), g), t0=1
+    ),
+    "nested-mirror": lambda cls, g: cls(
+        lambda segment: cls(lambda inner: AdaptiveMirrorAdversary(16), t0=1), t0=1
+    ),
+}
+
+
+class TestHistoryTail:
+    def test_matches_the_sliced_list(self):
+        history = [RoundRecord.play(t, 3, 1 + t % 4) for t in range(1, 11)]
+        slices = (slice(None), slice(1, 3), slice(-2, None), slice(None, None, -1), slice(5, 1, -2))
+        for start in (0, 4, 10):
+            view, expect = _HistoryTail(history, start), history[start:]
+            assert len(view) == len(expect) and bool(view) == bool(expect)
+            assert list(view) == expect
+            for i in range(-len(expect), len(expect)):
+                assert view[i] == expect[i]
+            for sl in slices:
+                assert view[sl] == expect[sl]
+            for i in (len(expect), -len(expect) - 1):
+                with pytest.raises(IndexError):
+                    view[i]
+            assert list(_HistoryTail(view, 1)) == expect[1:]
+            assert list(_HistoryTail(view, 20)) == []
+
+    def test_sees_appends_to_the_underlying_history(self):
+        history = [RoundRecord.play(1, 1, 1)]
+        view = _HistoryTail(history, 1)
+        assert not view
+        history.append(RoundRecord.play(2, 4, 2))
+        assert len(view) == 1 and view[-1].query == 4
+
+
 class TestAnytimeAmplifier:
     def test_checkpoints(self):
         gen = amplifier_checkpoints(1)
@@ -307,6 +357,19 @@ class TestAnytimeAmplifier:
             history.append(RoundRecord.play(t, q, x))
         # round 1: segment of length 1 -> 4; round 2: fresh segment -> 4 again
         assert samples == [4, 4, 3, 6]
+
+    @pytest.mark.parametrize("name", sorted(_AMPLIFIED))
+    def test_offset_view_matches_sliced_history(self, name):
+        # 1200 rounds cross the segment boundaries at 1, 33 and 1089
+        queries = rng(5).integers(1, 17, size=1200).tolist()
+        live = _AMPLIFIED[name](AnytimeAdversary, rng(9))
+        reference = _AMPLIFIED[name](_SlicingAmplifier, rng(9))
+        history, samples, expected = [], [], []
+        for t, q in enumerate(queries, start=1):
+            samples.append(live.next_sample(history))
+            expected.append(reference.next_sample(history))
+            history.append(RoundRecord.play(t, q, samples[-1]))
+        assert samples == expected
 
 
 class TestBreaker:

@@ -393,13 +393,85 @@ def test_engines_reject_the_same_inputs(algorithm, adversary, message):
     config = GameConfig(n=4, horizon=8, algorithm=algorithm, adversary=adversary, seed=1)
     entry_points = [
         lambda: validate_config(config),
+        lambda: run_game(config),  # round loop
         lambda: monte_carlo(config, 4),  # vectorized replay
-        lambda: monte_carlo(config, 4, sink=lambda run_id, tr: None),  # round loop
+        lambda: monte_carlo(config, 4, sink=lambda run_id, tr: None),  # replay with a sink
     ]
     for call in entry_points:
         with pytest.raises(ValidationError) as caught:
             call()
         assert str(caught.value) == message
+
+
+_PARITY_ADVERSARIES = {
+    "uniform": "uniform",
+    "mirror": "mirror",
+    "sequence": AdversarySpec("sequence", {"samples": [(5 * t) % 17 + 1 for t in range(48)]}),
+    "coin": "coin",
+    "median-lb": AdversarySpec("median-lb", {"k": 4, "m": 1, "epsilon": "1/32", "sigma": "+-+-"}),
+}
+
+
+@pytest.mark.parametrize("adversary", sorted(_PARITY_ADVERSARIES))
+@pytest.mark.parametrize(
+    "algorithm,metric", [("cdfest", "cdf"), ("cdfest", "median"), ("meanest", "mean")]
+)
+def test_sink_trajectories_equal_run_game(algorithm, metric, adversary):
+    config = GameConfig(
+        n=16, horizon=48, algorithm=algorithm, adversary=_PARITY_ADVERSARIES[adversary],
+        metric=metric, seed=17,
+    )
+    got = []
+    monte_carlo(config, CHUNK_RUNS + 3, workers=1, sink=lambda run_id, tr: got.append((run_id, tr)))
+    assert [run_id for run_id, _ in got] == list(range(CHUNK_RUNS + 3))
+    for run_id, replayed in got:
+        played = run_game(config, run_id)
+        for column in ("queries", "samples", "feedback", "errors", "estimates"):
+            a, b = getattr(replayed, column), getattr(played, column)
+            assert a.dtype == b.dtype and np.array_equal(a, b), column
+        assert (replayed.n, replayed.metric, replayed.tau) == (played.n, played.metric, played.tau)
+        if metric == "mean":
+            assert type(replayed.final_snapshot) is float
+            assert replayed.final_snapshot == played.final_snapshot
+        else:
+            assert np.array_equal(replayed.final_snapshot.values, played.final_snapshot.values)
+            assert replayed.final_snapshot.values.base is None  # not a view of the T x (n+2) replay
+        assert replayed.records == played.records
+
+
+def test_sink_does_not_force_the_round_loop(monkeypatch):
+    import threshold_arena.arena as arena_mod
+
+    def refuse(*args):
+        raise AssertionError("round loop played")
+
+    monkeypatch.setattr(arena_mod, "_play", refuse)
+    config = GameConfig(n=8, horizon=20, algorithm="cdfest", adversary="uniform", seed=1)
+    got = []
+    monte_carlo(config, 3, sink=lambda run_id, tr: got.append(run_id))
+    assert got == [0, 1, 2]
+
+
+def test_median_kind_batch_methods_take_the_round_loop():
+    # estimate_batch of a median-kind algorithm returns indices, not CDF rows;
+    # the replay only scores cdf- and mean-kind algorithms
+    from threshold_arena import register_algorithm
+    from threshold_arena.estimators import MidpointBaseline
+
+    class _BatchMidpoint(MidpointBaseline):
+        def query_batch(self, rng, horizon):
+            return np.arange(horizon, dtype=np.int64) % self.n + 1
+
+        def estimate_batch(self, queries, feedback):
+            return np.full(len(queries), max(1, self.n // 2), dtype=np.int64)
+
+    register_algorithm("batch-midpoint", lambda p, n, h, rng: _BatchMidpoint(n), "median")
+    config = GameConfig(n=8, horizon=10, algorithm="batch-midpoint", adversary="uniform", seed=3)
+    summary = monte_carlo(config, 4, epsilon=0.2)
+    games = [run_game(config, run_id=r) for r in range(4)]
+    assert np.array_equal(summary.mean_error, sum(g.errors for g in games) / 4)
+    assert np.array_equal(summary.final_errors, [g.errors[-1] for g in games])
+    assert summary.success_at_horizon == sum(g.errors[-1] <= 0.2 for g in games) / 4
 
 
 class TestQueryComplexity:

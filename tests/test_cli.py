@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from threshold_arena import AdversarySpec, GameConfig, run_game, write_trajectory_csv
 from threshold_arena.adversaries import save_sample_sequence
 from threshold_arena.cli import main, parse_component
 
@@ -149,6 +150,30 @@ class TestReplay:
         code = main(["replay", "--file", str(seq), "--algo", "cdfest", "--n", "4",
                      "--T", "5", "--out-dir", str(tmp_path)])
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "algo,metric", [("cdfest", None), ("cdfest", "median"), ("meanest", None)]
+)
+def test_csv_equals_export_of_run_game(tmp_path, algo, metric):
+    # run and replay go through monte_carlo's sink; their bytes must equal the
+    # export of round-loop trajectories for the same seed
+    samples = [(3 * t) % 9 + 1 for t in range(40)]
+    seq = tmp_path / "seq.txt"
+    save_sample_sequence(seq, samples)
+    flags = ["--algo", algo, "--n", "8", "--runs", "35", "--seed", "6", "--reveal-samples"]
+    flags += ["--metric", metric] if metric else []
+    assert main(["run", "--adv", "mirror", "--T", "40", "--workers", "2", *flags,
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    assert main(["replay", "--file", str(seq), *flags, "--out-dir", str(tmp_path / "replay")]) == 0
+    for adversary, produced in (
+        ("mirror", tmp_path / "run" / "trajectory.csv"),
+        (AdversarySpec("sequence", {"samples": samples}), tmp_path / "replay" / "replay.csv"),
+    ):
+        config = GameConfig(n=8, horizon=40, algorithm=algo, adversary=adversary, metric=metric, seed=6)
+        expected = tmp_path / "expected.csv"
+        write_trajectory_csv(expected, [(r, run_game(config, r)) for r in range(35)], reveal_samples=True)
+        assert produced.read_bytes() == expected.read_bytes()
 
 
 class TestComplexity:
