@@ -31,7 +31,6 @@ from typing import Any, Callable
 import numpy as np
 
 from .core import (
-    CdfEstimate,
     ProtocolError,
     RoundRecord,
     Trajectory,
@@ -51,6 +50,11 @@ ROLE_ADVERSARY = 2
 # Runs are reduced in fixed chunks of this size; the reduction tree (and so
 # every floating-point sum) is identical no matter how many workers run it.
 CHUNK_RUNS = 32
+
+# The replay scores a run in row blocks of about this many estimate cells
+# (rows x (n+2) for a CDF, rows for a mean), so its memory is O(block) plus
+# O(T) for the run's columns, whatever the horizon.
+REPLAY_BLOCK_CELLS = 1 << 14
 
 
 def derive_rng(master_seed: int, run_id: int, role: int) -> np.random.Generator:
@@ -93,12 +97,20 @@ def register_algorithm(name, build, kind, deterministic=False) -> None:
     build(params, n, horizon, rng) -> OnlineAlgorithm. kind is the estimate
     kind ("cdf" | "mean" | "median" | "quantile") or a callable of params for
     wrappers whose kind depends on what they wrap.
+
+    A builder may read horizon only to validate: a run's first t rounds must
+    not depend on it. estimate_query_complexity relies on this when it reads
+    the success rate at a shorter horizon off a longer probe's rounds.
     """
     _ALGORITHMS[name] = _AlgorithmEntry(build=build, kind=kind, deterministic=deterministic)
 
 
 def register_adversary(name, build) -> None:
-    """Expose an adversary builder: build(params, n, horizon, rng) -> Adversary."""
+    """Expose an adversary builder: build(params, n, horizon, rng) -> Adversary.
+
+    As for algorithms, a builder may read horizon only to validate: a run's
+    first t rounds must not depend on it.
+    """
     _ADVERSARY_BUILDERS[name] = build
 
 
@@ -491,9 +503,13 @@ def recompute_errors(trajectory: Trajectory) -> np.ndarray:
 class MonteCarloSummary:
     """Cross-run aggregates; arrays are per round (length = horizon).
 
-    success arrays appear only when an epsilon was supplied. index_mse /
-    index_mse_stderr hold the per-index squared error of the final CDF
-    estimate for CDF-kind algorithms, else None.
+    success arrays appear only when an epsilon was supplied: entry t-1 of
+    success_rate is the share of runs with error <= epsilon at round t, and
+    of anytime_rate the share with error <= epsilon at every round from
+    burn_in+1 through t (1 for t <= burn_in). Since a run's first t rounds do
+    not depend on the horizon, these are also the success rates at horizon t.
+    index_mse / index_mse_stderr hold the per-index squared error of the
+    final CDF estimate for CDF-kind algorithms, else None.
     """
 
     config: GameConfig
@@ -507,6 +523,7 @@ class MonteCarloSummary:
     final_errors: np.ndarray
     success_at_horizon: float | None
     success_anytime: float | None
+    anytime_rate: np.ndarray | None
     index_mse: np.ndarray | None
     index_mse_stderr: np.ndarray | None
 
@@ -516,9 +533,10 @@ def _new_partial(horizon: int, n: int, epsilon, index_stats: bool) -> dict:
         "sum_err": np.zeros(horizon),
         "sum_sq": np.zeros(horizon),
         "succ": np.zeros(horizon, dtype=np.int64) if epsilon is not None else None,
+        # first_fail[f]: runs whose first error above epsilon at or after
+        # round burn_in+1 is round f+1; first_fail[horizon]: runs with none
+        "first_fail": np.zeros(horizon + 1, dtype=np.int64) if epsilon is not None else None,
         "finals": [],
-        "final_succ": 0,
-        "anytime_succ": 0,
         "idx_sum": np.zeros(n + 2) if index_stats else None,
         "idx_sumsq": np.zeros(n + 2) if index_stats else None,
     }
@@ -530,12 +548,90 @@ def _absorb_run(partial: dict, errs: np.ndarray, epsilon, burn_in: int, idx_sq=N
     if epsilon is not None:
         ok = errs <= epsilon
         partial["succ"] += ok
-        partial["final_succ"] += bool(ok[-1])
-        partial["anytime_succ"] += bool(ok[burn_in:].all())
+        fails = np.flatnonzero(~ok[burn_in:])
+        partial["first_fail"][burn_in + fails[0] if fails.size else len(errs)] += 1
     partial["finals"].append(errs[-1])
     if idx_sq is not None:
         partial["idx_sum"] += idx_sq
         partial["idx_sumsq"] += idx_sq * idx_sq
+
+
+def _score_block(
+    metric: str, tau: float, n: int, counts, t0: int, samples, est, want_estimates: bool
+):
+    """Errors of rounds t0+1 .. t0+len(samples), and their scalar estimates.
+
+    counts holds the per-value sample counts of rounds 1..t0 and is advanced
+    in place. est holds the algorithm's estimates of the same rounds: CDF rows
+    for the cdf and median metrics, means for the mean metric. Each round's
+    empirical CDF is its running counts over t, so every float operation is
+    the one a whole-horizon replay does, and errors do not depend on how the
+    horizon is cut into blocks. The scalar estimates (the median index for a
+    CDF) are returned when want_estimates, else None.
+    """
+    rows = len(samples)
+    tt = np.arange(t0 + 1, t0 + rows + 1, dtype=np.float64)
+    if metric == "mean":
+        total = int(counts @ np.arange(n + 2))
+        counts += np.bincount(samples, minlength=n + 2)
+        return np.abs(est - (total + np.cumsum(samples)) / tt) / n, est
+    # block temporaries are few and accumulated in place: with many small
+    # blocks, each freed array is memory the allocator may hand back and
+    # fault in again
+    running = np.zeros((rows, n + 2), dtype=np.int64)
+    running[np.arange(rows), samples] = 1
+    running[0] += counts  # carried into every row by the cumulative sum
+    np.cumsum(running, axis=0, out=running)
+    counts[:] = running[-1]
+    f = np.cumsum(running, axis=1, out=running) / tt[:, None]
+    med = np.argmax(est[:, 1:] > 0.5, axis=1) + 1 if metric == "median" or want_estimates else None
+    if metric == "cdf":
+        diff = np.subtract(est[:, 1:], f[:, 1:], out=f[:, 1:])
+        errs = np.abs(diff, out=diff).max(axis=1)
+    else:
+        r = np.arange(rows)
+        errs = np.maximum(0.0, np.maximum(f[r, med - 1] - tau, tau - f[r, med]))
+    return errs, med
+
+
+def _replay(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool):
+    """(errors, squared final index errors or None, Trajectory or None) of one replayed run.
+
+    The run's queries, samples and feedback are drawn for the whole horizon
+    (O(T)); estimates and scores go block by block, so no T x (n+2) array is
+    ever built. Only cdf- and mean-kind algorithms are replayed, so every
+    metric but mean scores CDF rows.
+    """
+    n, horizon = config.n, config.horizon
+    cdf_rows = metric != "mean"
+    queries = alg.query_batch(alg_rng, horizon)
+    samples = adversary.sample_batch(queries)
+    feedback = samples <= queries
+    counts = np.zeros(n + 2, dtype=np.int64)
+    errs = np.empty(horizon)
+    estimates = None
+    if keep_trajectory:
+        estimates = np.empty(horizon, dtype=np.float64 if metric == "mean" else np.int64)
+    block = max(1, REPLAY_BLOCK_CELLS // (n + 2 if cdf_rows else 1))
+    for lo in range(0, horizon, block):
+        hi = min(lo + block, horizon)
+        est = alg.estimate_batch(queries[lo:hi], feedback[lo:hi])
+        errs[lo:hi], block_estimates = _score_block(
+            metric, tau, n, counts, lo, samples[lo:hi], est, keep_trajectory
+        )
+        if keep_trajectory:
+            estimates[lo:hi] = block_estimates
+    final = alg.snapshot()
+    idx_sq = None
+    if cdf_rows:
+        diff = final.values - np.cumsum(counts) / horizon
+        idx_sq = diff * diff
+    trajectory = None
+    if keep_trajectory:
+        trajectory = Trajectory(
+            n, metric, tau, queries, samples, feedback.astype(np.int64), errs, estimates, final
+        )
+    return errs, idx_sq, trajectory
 
 
 def _chunk_worker(args) -> dict:
@@ -555,51 +651,21 @@ def _chunk_worker(args) -> dict:
     partial = _new_partial(horizon, n, epsilon, index_stats)
     if keep_trajectories:
         partial["trajectories"] = []
-    tt = rows = None  # built on the first replayed run
     for run in range(lo, hi):
         alg, adversary, alg_rng = _build_sides(config, run)
-        idx_sq = None
         if (
             kind in ("cdf", "mean")
             and hasattr(alg, "query_batch")
             and hasattr(alg, "estimate_batch")
             and hasattr(adversary, "sample_batch")
         ):
-            if tt is None:
-                tt = np.arange(1, horizon + 1, dtype=np.float64)
-                rows = np.arange(horizon)
-            queries = alg.query_batch(alg_rng, horizon)
-            samples = adversary.sample_batch(queries)
-            feedback = samples <= queries
-            # est is T x (n+2) for cdf-kind algorithms: only this frame holds
-            # it, and nothing kept below is a view of it.
-            est = alg.estimate_batch(queries, feedback)
-            if metric == "mean":
-                errs = np.abs(est - np.cumsum(samples) / tt) / n
-            else:
-                occur = np.zeros((horizon, n + 2), dtype=np.int64)
-                occur[rows, samples] = 1
-                f = np.cumsum(np.cumsum(occur, axis=0), axis=1) / tt[:, None]
-                if metric == "median" or keep_trajectories:
-                    med = np.argmax(est[:, 1:] > 0.5, axis=1) + 1
-                if metric == "cdf":
-                    errs = np.max(np.abs(est[:, 1:] - f[:, 1:]), axis=1)
-                else:
-                    errs = np.maximum(0.0, np.maximum(f[rows, med - 1] - tau, tau - f[rows, med]))
-                diff = est[-1] - f[-1]
-                idx_sq = diff * diff
-            if keep_trajectories:
-                if metric == "mean":
-                    estimates, final = est, float(est[-1])
-                else:
-                    estimates, final = med, CdfEstimate._trusted(n, est[-1].copy())
-                trajectory = Trajectory(
-                    n, metric, tau, queries, samples, feedback.astype(np.int64), errs,
-                    estimates, final,
-                )
+            errs, idx_sq, trajectory = _replay(
+                config, metric, tau, alg, adversary, alg_rng, keep_trajectories
+            )
         else:
             trajectory = _play(config, metric, tau, alg, adversary, alg_rng)
             errs = trajectory.errors
+            idx_sq = None
             if index_stats:
                 diff = trajectory.final_snapshot.values - trajectory.empirical().floats()
                 idx_sq = diff * diff
@@ -615,6 +681,8 @@ def monte_carlo(
     epsilon: float | None = None,
     workers: int = 1,
     sink: Callable[[int, Trajectory], None] | None = None,
+    *,
+    _pool: ProcessPoolExecutor | None = None,
 ) -> MonteCarloSummary:
     """Aggregate `runs` independent seeded games of one config.
 
@@ -624,6 +692,9 @@ def monte_carlo(
     results are bit-identical to the serial path. A sink receives every
     (run_id, Trajectory) in run order; the vectorized replay and the round
     loop build equal trajectories, so a sink does not change the engine.
+    A replayed run needs O(T) memory for its columns plus a fixed block of
+    estimate cells, not O(T*n). _pool lends an open pool to use in place of
+    a new one (estimate_query_complexity holds one for all its probes).
     """
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
@@ -633,9 +704,11 @@ def monte_carlo(
         (config, lo, min(lo + CHUNK_RUNS, runs), epsilon, sink is not None)
         for lo in range(0, runs, CHUNK_RUNS)
     ]
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and len(jobs) > 1 else None
     partials = []
-    with pool or contextlib.nullcontext():
+    with contextlib.ExitStack() as stack:
+        pool = None
+        if workers > 1 and len(jobs) > 1:
+            pool = _pool or stack.enter_context(ProcessPoolExecutor(max_workers=workers))
         for part in (pool.map if pool else map)(_chunk_worker, jobs):
             for run_id, trajectory in part.pop("trajectories", ()):
                 sink(run_id, trajectory)
@@ -649,8 +722,7 @@ def monte_carlo(
         combined["sum_sq"] += part["sum_sq"]
         if epsilon is not None:
             combined["succ"] += part["succ"]
-            combined["final_succ"] += part["final_succ"]
-            combined["anytime_succ"] += part["anytime_succ"]
+            combined["first_fail"] += part["first_fail"]
         if index_stats:
             combined["idx_sum"] += part["idx_sum"]
             combined["idx_sumsq"] += part["idx_sumsq"]
@@ -661,6 +733,11 @@ def monte_carlo(
         index_mse = combined["idx_sum"] / runs
         var = combined["idx_sumsq"] / runs - index_mse**2
         index_stderr = np.sqrt(np.maximum(var, 0.0) / runs)
+    success_rate = anytime_rate = None
+    if epsilon is not None:
+        success_rate = combined["succ"] / runs
+        # runs whose first failure comes after round t, for t = 1..horizon
+        anytime_rate = np.cumsum(combined["first_fail"][::-1])[::-1][1:] / runs
     return MonteCarloSummary(
         config=config,
         runs=runs,
@@ -669,10 +746,11 @@ def monte_carlo(
         epsilon=epsilon,
         mean_error=combined["sum_err"] / runs,
         mse=combined["sum_sq"] / runs,
-        success_rate=(combined["succ"] / runs) if epsilon is not None else None,
+        success_rate=success_rate,
         final_errors=np.asarray(finals),
-        success_at_horizon=(combined["final_succ"] / runs) if epsilon is not None else None,
-        success_anytime=(combined["anytime_succ"] / runs) if epsilon is not None else None,
+        success_at_horizon=float(success_rate[-1]) if epsilon is not None else None,
+        success_anytime=float(anytime_rate[-1]) if epsilon is not None else None,
+        anytime_rate=anytime_rate,
         index_mse=index_mse,
         index_mse_stderr=index_stderr,
     )
@@ -702,41 +780,53 @@ def estimate_query_complexity(
 ) -> ComplexityEstimate:
     """Smallest horizon at which the config wins with the target probability.
 
-    Doubles the horizon until the success rate clears the target at both T
-    and 2T, then bisects down to +-10%. Success means final error <= epsilon
-    (or error <= epsilon at every round past burn_in when config.anytime).
-    Hitting t_cap returns the cap with resolved=False.
+    Doubles the horizon, from the smallest power of two above burn_in, until
+    the success rate clears the target at both T and 2T, then bisects down
+    to +-10%. Success means final error <= epsilon (or error <= epsilon at
+    every round past burn_in when config.anytime). Hitting t_cap returns the
+    cap with resolved=False.
+
+    Every registered matchup is horizon-prefix consistent (see
+    register_algorithm), so one Monte Carlo at horizon H gives the success
+    rate at every h <= H. A probe runs only when h exceeds the longest probe
+    so far; the bisection reads its rates off that probe's per-round
+    counts. All probes share one process pool when workers > 1.
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValidationError(f"epsilon must lie in (0, 1/2], got {epsilon}")
     if runs < 200:
         raise ValidationError(f"need >= 200 runs to resolve a {target} success rate, got {runs}")
     rates: dict[int, float] = {}
+    longest: MonteCarloSummary | None = None
 
     def rate(horizon: int) -> float:
+        nonlocal longest
         if horizon not in rates:
-            probe = dataclasses.replace(config, horizon=horizon)
-            summary = monte_carlo(probe, runs, epsilon=epsilon, workers=workers)
-            rates[horizon] = (
-                summary.success_anytime if config.anytime else summary.success_at_horizon
-            )
+            if longest is None or horizon > longest.config.horizon:
+                probe = dataclasses.replace(config, horizon=horizon)
+                longest = monte_carlo(probe, runs, epsilon=epsilon, workers=workers, _pool=pool)
+            per_round = longest.anytime_rate if config.anytime else longest.success_rate
+            rates[horizon] = float(per_round[horizon - 1])
         return rates[horizon]
 
-    horizon = 1
-    while horizon <= t_cap:
-        if rate(horizon) >= target and rate(2 * horizon) >= target:
-            break
-        horizon *= 2
-    else:
-        return ComplexityEstimate(t_cap, False, epsilon, target, runs, sorted(rates.items()))
-
-    lo, hi = horizon // 2, horizon
-    while hi - lo > max(1, hi // 10):
-        mid = (lo + hi) // 2
-        if rate(mid) >= target:
-            hi = mid
+    shared = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    with shared as pool:
+        horizon = 1 << config.burn_in.bit_length()  # smallest power of two > burn_in
+        while horizon <= t_cap:
+            if rate(horizon) >= target and rate(2 * horizon) >= target:
+                break
+            horizon *= 2
         else:
-            lo = mid
+            return ComplexityEstimate(t_cap, False, epsilon, target, runs, sorted(rates.items()))
+
+        # the answer lies in (lo, hi]; horizons up to burn_in are not games
+        lo, hi = max(horizon // 2, config.burn_in), horizon
+        while hi - lo > max(1, hi // 10):
+            mid = (lo + hi) // 2
+            if rate(mid) >= target:
+                hi = mid
+            else:
+                lo = mid
     return ComplexityEstimate(hi, True, epsilon, target, runs, sorted(rates.items()))
 
 

@@ -86,8 +86,11 @@ class _UniformQueries(OnlineAlgorithm):
     Since the queries ignore feedback, a whole game's queries can be drawn up
     front: query_batch(rng, horizon) equals `horizon` successive next_query
     calls and consumes the rng the same way. Subclasses add
-    estimate_batch(queries, feedback), whose row t-1 equals estimate() after
-    round t of a fresh instance, bit for bit.
+    estimate_batch(queries, feedback), which ingests a block of rounds: it
+    continues from the instance's state and advances it, and its row i
+    equals estimate() after the block's round i+1, bit for bit. So
+    consecutive blocks equal one whole call, and snapshot() after the last
+    block equals live play's.
     """
 
     def _query(self, rng: np.random.Generator) -> int:
@@ -125,14 +128,18 @@ class CdfEst(_UniformQueries):
         return CdfEstimate._trusted(self.n, values)
 
     def estimate_batch(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
-        """Row t-1 holds estimate().values after round t: a T x (n+2) array."""
-        horizon = len(queries)
+        """Row i holds estimate().values after the block's round i+1: a rows x (n+2) array."""
+        rows = len(queries)
         hit = np.flatnonzero(feedback)
-        hits = np.zeros((horizon, self.n + 2), dtype=np.int64)
-        hits[hit, queries[hit]] = 1
-        tally = np.cumsum(hits, axis=0)
-        values = tally * (self.n / np.arange(1, horizon + 1, dtype=np.float64))[:, None]
+        tally = np.zeros((rows, self.n + 2), dtype=np.int64)
+        tally[hit, queries[hit]] = 1
+        tally[0] += self._tally  # carried into every row by the cumulative sum
+        np.cumsum(tally, axis=0, out=tally)
+        tt = np.arange(self.t + 1, self.t + rows + 1, dtype=np.float64)
+        values = tally * (self.n / tt)[:, None]
         values[:, -1] = 1.0
+        self._tally = tally[-1].copy()
+        self.t += rows
         return values
 
     def snapshot(self) -> CdfEstimate:
@@ -162,9 +169,13 @@ class MeanEst(_UniformQueries):
         return 1.0 + (self.n / self.t) * self._above
 
     def estimate_batch(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
-        """Entry t-1 is estimate() after round t."""
-        above = np.cumsum(feedback == 0)
-        return 1.0 + (self.n / np.arange(1, len(queries) + 1, dtype=np.float64)) * above
+        """Entry i is estimate() after the block's round i+1."""
+        rows = len(queries)
+        above = np.cumsum(feedback == 0) + self._above
+        tt = np.arange(self.t + 1, self.t + rows + 1, dtype=np.float64)
+        self._above = int(above[-1])
+        self.t += rows
+        return 1.0 + (self.n / tt) * above
 
     def snapshot(self) -> float:
         return self.estimate()

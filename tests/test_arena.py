@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -474,6 +475,104 @@ def test_median_kind_batch_methods_take_the_round_loop():
     assert summary.success_at_horizon == sum(g.errors[-1] <= 0.2 for g in games) / 4
 
 
+_PREFIX_ALGORITHMS = {
+    "cdfest": "cdfest",
+    "meanest": "meanest",
+    "stochastic-cdf": "stochastic-cdf",
+    "quantile": AlgorithmSpec("quantile", {"tau": 0.75}),
+    "boosted": AlgorithmSpec("boosted", {"delta": 0.1}),
+    "midpoint": "midpoint",
+    "halving": "halving",
+}
+_PREFIX_SEQUENCE = [(7 * t) % 17 + 1 for t in range(1100)]
+_PREFIX_ADVERSARIES = {
+    "uniform": "uniform",
+    "point-mass": AdversarySpec("point-mass", {"j": 5}),
+    "stochastic": AdversarySpec("stochastic", {"pmf": [1 / 16] * 8 + [0.0] * 4 + [1 / 8] * 4 + [0.0]}),
+    "cdf-lb": AdversarySpec("cdf-lb", {"epsilon": 0.02, "sigma": "alt"}),
+    "median-lb": AdversarySpec("median-lb", {"k": 4, "m": 1, "epsilon": "1/32", "sigma": "+-+-"}),
+    "coin": "coin",
+    "mirror": "mirror",
+    "sequence": AdversarySpec("sequence", {"samples": _PREFIX_SEQUENCE}),
+    # segments of 1, 32 and 1056 rounds, each built with its own length
+    "amplified": AdversarySpec(
+        "amplified", {"inner": {"name": "sequence", "params": {"samples": _PREFIX_SEQUENCE}}}
+    ),
+}
+
+
+@pytest.mark.parametrize("adversary", sorted(_PREFIX_ADVERSARIES))
+@pytest.mark.parametrize("algorithm", sorted(_PREFIX_ALGORITHMS))
+def test_runs_are_horizon_prefix_consistent(algorithm, adversary):
+    # the contract estimate_query_complexity reads shorter horizons by
+    def game(horizon):
+        config = GameConfig(
+            n=16, horizon=horizon, algorithm=_PREFIX_ALGORITHMS[algorithm],
+            adversary=_PREFIX_ADVERSARIES[adversary], seed=9,
+        )
+        return run_game(config, run_id=2)
+
+    full = game(40)
+    for t in (1, 2, 33, 39):
+        short = game(t)
+        for column in ("queries", "samples", "feedback", "errors", "estimates"):
+            assert np.array_equal(getattr(short, column), getattr(full, column)[:t]), (t, column)
+
+
+@pytest.mark.parametrize(
+    "algorithm,metric,adversary,n,horizon",
+    [
+        ("cdfest", "cdf", "uniform", 64, 700),  # blocks of 248, 248 and 204 rows
+        ("cdfest", "median", "mirror", 64, 700),
+        ("meanest", "mean", "mirror", 16, (1 << 14) + 300),  # blocks of 16384 and 300 rows
+    ],
+)
+def test_blocked_replay_equals_round_loop(algorithm, metric, adversary, n, horizon):
+    config = GameConfig(
+        n=n, horizon=horizon, algorithm=algorithm, adversary=adversary, metric=metric, seed=23,
+        anytime=True, burn_in=5,
+    )
+    runs, eps = 3, 0.2
+    got = []
+    summary = monte_carlo(config, runs, epsilon=eps, sink=lambda run_id, tr: got.append(tr))
+    games = [run_game(config, run_id=r) for r in range(runs)]
+    for replayed, played in zip(got, games):
+        for column in ("queries", "samples", "feedback", "errors", "estimates"):
+            assert np.array_equal(getattr(replayed, column), getattr(played, column)), column
+        if metric == "mean":
+            assert replayed.final_snapshot == played.final_snapshot
+        else:
+            assert np.array_equal(replayed.final_snapshot.values, played.final_snapshot.values)
+    assert np.array_equal(summary.mean_error, sum((g.errors for g in games), np.zeros(horizon)) / runs)
+    assert np.array_equal(summary.final_errors, [g.errors[-1] for g in games])
+    if metric != "mean":
+        idx = [(g.final_snapshot.values - g.empirical().floats()) ** 2 for g in games]
+        assert np.array_equal(summary.index_mse, sum(idx, np.zeros(n + 2)) / runs)
+    ok = np.array([g.errors <= eps for g in games])
+    assert np.array_equal(summary.success_rate, ok.sum(axis=0) / runs)
+    # anytime success at horizon t: no failure in rounds burn_in+1..t
+    late = ok.copy()
+    late[:, : config.burn_in] = True
+    assert np.array_equal(summary.anytime_rate, np.logical_and.accumulate(late, axis=1).sum(axis=0) / runs)
+    assert summary.success_anytime == summary.anytime_rate[-1]
+
+
+def test_replay_memory_is_bounded_in_time_blocks():
+    import tracemalloc
+
+    import threshold_arena.arena as arena_mod
+
+    # one replayed run at n=64, T=2^16 held about 168 MiB of T x (n+2) arrays
+    config = GameConfig(n=64, horizon=1 << 16, algorithm="cdfest", adversary="uniform", seed=1)
+    tracemalloc.start()
+    try:
+        arena_mod._chunk_worker((config, 0, 1, 0.1, False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak / 2**20
+
+
 class TestQueryComplexity:
     def test_trivial_epsilon_resolves_to_one(self):
         config = GameConfig(n=4, horizon=1, algorithm="cdfest", adversary="uniform", metric="median", seed=8)
@@ -514,6 +613,94 @@ class TestQueryComplexity:
         )
         est = estimate_query_complexity(config, 0.01, runs=200, t_cap=4)
         assert not est.resolved and est.t_hat == 4
+
+    def test_anytime_search_with_burn_in_starts_above_it(self):
+        # the doubling used to start at horizon 1, an invalid game for burn_in 10
+        config = GameConfig(
+            n=16, horizon=1, algorithm="cdfest", adversary="uniform", anytime=True, burn_in=10
+        )
+        est = estimate_query_complexity(config, 0.2, runs=200, t_cap=64)
+        assert not est.resolved and est.t_hat == 64
+        assert [h for h, _ in est.curve] == [16, 32, 64]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "config,epsilon,t_cap",
+        [
+            pytest.param(
+                GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=8),
+                0.2, 1 << 20, id="cdf",
+            ),
+            pytest.param(
+                GameConfig(
+                    n=8, horizon=1, algorithm="cdfest", adversary="mirror", metric="median", seed=3
+                ),
+                0.15, 1 << 20, id="median",
+            ),
+            pytest.param(
+                GameConfig(n=16, horizon=1, algorithm="meanest", adversary="uniform", seed=4),
+                0.1, 1 << 20, id="mean",
+            ),
+            pytest.param(
+                GameConfig(
+                    n=8, horizon=1, algorithm=AlgorithmSpec("quantile", {"tau": 0.75}),
+                    adversary="uniform", seed=5,
+                ),
+                0.2, 1 << 20, id="quantile-round-loop",
+            ),
+            pytest.param(
+                GameConfig(
+                    n=8, horizon=1, algorithm="meanest", adversary="uniform", seed=2,
+                    anytime=True, burn_in=6,
+                ),
+                0.3, 1 << 20, id="anytime-burn-in",
+            ),
+            pytest.param(
+                GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=6, burn_in=10),
+                0.2, 1 << 20, id="burn-in",
+            ),
+            pytest.param(
+                GameConfig(
+                    n=16, horizon=1, algorithm="cdfest", adversary="coin", metric="median", seed=8
+                ),
+                0.01, 32, id="cap-miss",
+            ),
+        ],
+    )
+    def test_search_matches_fresh_probe_reference(self, config, epsilon, t_cap, workers):
+        def reference(config, epsilon, target, runs, t_cap, workers):
+            # the search with a fresh monte_carlo at every probed horizon
+            rates = {}
+
+            def rate(horizon):
+                if horizon not in rates:
+                    probe = dataclasses.replace(config, horizon=horizon)
+                    summary = monte_carlo(probe, runs, epsilon=epsilon, workers=workers)
+                    rates[horizon] = (
+                        summary.success_anytime if config.anytime else summary.success_at_horizon
+                    )
+                return rates[horizon]
+
+            horizon = 1 << config.burn_in.bit_length()
+            while horizon <= t_cap:
+                if rate(horizon) >= target and rate(2 * horizon) >= target:
+                    break
+                horizon *= 2
+            else:
+                return t_cap, False, sorted(rates.items())
+            lo, hi = max(horizon // 2, config.burn_in), horizon
+            while hi - lo > max(1, hi // 10):
+                mid = (lo + hi) // 2
+                if rate(mid) >= target:
+                    hi = mid
+                else:
+                    lo = mid
+            return hi, True, sorted(rates.items())
+
+        est = estimate_query_complexity(config, epsilon, runs=200, t_cap=t_cap, workers=workers)
+        expected = reference(config, epsilon, 0.75, 200, t_cap, workers)
+        assert (est.t_hat, est.resolved, est.curve) == expected
+        assert all(type(rate) is float for _, rate in est.curve)
 
 
 class TestExport:

@@ -173,6 +173,19 @@ def test_batch_methods_replay_live_play(cls):
         assert np.array_equal(batch[t], live.values if cls is CdfEst else live)
     assert g_batch.random() == g_live.random()  # same rng consumption
 
+    # uneven consecutive blocks, one of a single row, equal the whole call,
+    # and leave the instance where live play leaves it
+    blocked = cls(n)
+    cuts = [0, 13, 14, 41, horizon]
+    parts = [blocked.estimate_batch(queries[a:b], feedback[a:b]) for a, b in zip(cuts, cuts[1:])]
+    assert [len(p) for p in parts] == [13, 1, 27, 19]
+    assert np.array_equal(np.concatenate(parts), batch)
+    assert blocked.t == alg.t == horizon
+    if cls is CdfEst:
+        assert np.array_equal(blocked.snapshot().values, alg.snapshot().values)
+    else:
+        assert type(blocked.snapshot()) is float and blocked.snapshot() == alg.snapshot()
+
 
 def test_alternation_protocol_enforced():
     alg = CdfEst(4)
