@@ -10,7 +10,9 @@ Adversaries whose samples depend on the history only through past queries
 also expose sample_batch(queries) -> int64 array: on a fresh instance it
 equals len(queries) successive next_sample calls, consuming the rng the same
 way, so the arena can replay a whole game against a feedback-oblivious
-algorithm as arrays.
+algorithm as arrays. The anytime amplifier has it when its segment
+adversaries do: it builds each segment when live play would and hands it
+that segment's slice of the queries, so its stream is live play's.
 
 Besides plain i.i.d. samplers this module carries the hard-instance
 machinery: the perturbed-staircase CDF family, the two-phase median
@@ -407,7 +409,9 @@ class AnytimeAdversary(Adversary):
 
     The factory is invoked once per segment with the segment length; each
     segment adversary sees only the history generated inside its segment, so
-    per-segment behavior matches a fresh fixed-horizon run.
+    per-segment behavior matches a fresh fixed-horizon run. When the segment
+    adversaries have sample_batch (judged by the first), so does the
+    amplifier.
     """
 
     def __init__(self, factory: Callable[[int], Adversary], t0: int = 1):
@@ -419,13 +423,32 @@ class AnytimeAdversary(Adversary):
         self._segment_start = 0  # rounds completed before this segment
         self.n = self._segment.n
 
+    def _next_segment(self) -> None:
+        self._segment_start += self._segment_len
+        self._segment_len = 32 * self._segment_start
+        self._segment = self._factory(self._segment_len)
+
     def next_sample(self, history: Sequence[RoundRecord]) -> int:
-        t = len(history)
-        if t - self._segment_start >= self._segment_len:
-            self._segment_start += self._segment_len
-            self._segment_len = 32 * self._segment_start
-            self._segment = self._factory(self._segment_len)
+        if len(history) - self._segment_start >= self._segment_len:
+            self._next_segment()
         return self._segment.next_sample(_HistoryTail(history, self._segment_start))
+
+    @property
+    def sample_batch(self):
+        if not hasattr(self._segment, "sample_batch"):
+            raise AttributeError("the segment adversary has no sample_batch")
+        return self._sample_batch
+
+    def _sample_batch(self, queries: np.ndarray) -> np.ndarray:
+        """Each segment, built when live play builds it, samples its slice of the queries."""
+        samples = np.empty(len(queries), dtype=np.int64)
+        while True:
+            lo = self._segment_start
+            hi = min(lo + self._segment_len, len(queries))
+            samples[lo:hi] = self._segment.sample_batch(queries[lo:hi])
+            if hi == len(queries):
+                return samples
+            self._next_segment()
 
 
 # ---------------------------------------------------------------------------

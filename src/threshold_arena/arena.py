@@ -8,13 +8,17 @@ recorded every round against the exact running empirical CDF / mean.
 
 Everything is reproducible: a master seed is split into independent
 per-(run, role) lanes via numpy SeedSequence spawn keys, and runs are
-aggregated in a fixed chunk order regardless of worker count. Monte Carlo
-builds both sides of every run once; when a cdf- or mean-kind algorithm has
-query_batch and estimate_batch and the adversary has sample_batch (queries
-that ignore feedback, samples that depend only on queries), the run is
-replayed as arrays from the very same random streams, else it is played
-round by round. Either engine yields the same columnar Trajectory, which is
-what sinks and the CSV export consume.
+aggregated in a fixed chunk order regardless of worker count. The quantile
+and boosted wrappers draw their coins and routing on lanes spawned from the
+algorithm lane (spawn_lane), never on the algorithm lane itself. Monte Carlo
+builds both sides of every run once; when a cdf-, mean- or quantile-kind
+algorithm has query_batch and estimate_batch and the adversary has
+sample_batch (queries that ignore feedback, samples that depend only on
+queries), the run is replayed as arrays from the very same random streams,
+else it is played round by round. The wrappers have the batch methods when
+what they wrap does, and so does the anytime amplifier. Either engine
+yields the same columnar Trajectory, which is what sinks and the CSV export
+consume.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import contextlib
 import dataclasses
 import json
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -63,6 +68,20 @@ def derive_rng(master_seed: int, run_id: int, role: int) -> np.random.Generator:
         raise ValidationError(f"seed must be nonnegative, got {master_seed}")
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(run_id, role))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def spawn_lane(rng: np.random.Generator) -> np.random.Generator:
+    """A new generator lane for a wrapper's own draws, drawing nothing from rng.
+
+    The lane is seeded with the next child of the SeedSequence behind rng,
+    so on the algorithm lane of (seed, run) the wrappers of one build get
+    spawn keys (run, ROLE_ALGORITHM, 0), (run, ROLE_ALGORITHM, 1), ... in
+    build order, whatever the rng has drawn. numpy >= 1.25 calls this
+    Generator.spawn; older releases keep the seed sequence private.
+    """
+    bits = rng.bit_generator
+    seq = getattr(bits, "seed_seq", None) or bits._seed_seq
+    return np.random.Generator(np.random.PCG64(seq.spawn(1)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +191,18 @@ def _build_stochastic_cdf(params, n, horizon, rng):
     )
 
 
+# The wrappers draw their coins and routing on a lane of their own, spawned
+# from the algorithm's rng after (quantile) or before (boosted) building what
+# they wrap: the inner algorithm's draws stay the bare algorithm's, and each
+# stream can be regenerated as arrays. tau = 1/2 draws nothing and spawns
+# nothing, so it is the bare inner algorithm bit for bit.
+
 def _build_quantile(params, n, horizon, rng):
     if "tau" not in params:
         raise ValidationError("quantile wrapper needs a tau parameter")
-    inner = _as_spec(params.get("inner", "cdfest"), "algorithm")
-    return est_mod.QuantileReduction(build_algorithm(inner, n, horizon, rng), params["tau"], rng)
+    inner = build_algorithm(_as_spec(params.get("inner", "cdfest"), "algorithm"), n, horizon, rng)
+    coins = None if params["tau"] == 0.5 else spawn_lane(rng)
+    return est_mod.QuantileReduction(inner, params["tau"], coins)
 
 
 def _build_boosted(params, n, horizon, rng):
@@ -186,7 +212,7 @@ def _build_boosted(params, n, horizon, rng):
     return est_mod.ConfidenceBoost(
         lambda: build_algorithm(inner, n, horizon, rng),
         params["delta"],
-        rng,
+        spawn_lane(rng),
         copies=params.get("copies"),
     )
 
@@ -422,15 +448,49 @@ def run_game(config: GameConfig, run_id: int = 0) -> Trajectory:
     return _play(config, metric, tau, *_build_sides(config, run_id))
 
 
+class _PlayedRounds(Sequence):
+    """The adversary's read-only view of the rounds played, over the game's columns.
+
+    Holds no records: indexing builds the RoundRecord of one round, and
+    negative indices and slices behave as on a list of the played rounds
+    (slices return lists). The round loop raises `played` after each round.
+    """
+
+    __slots__ = ("_queries", "_samples", "_feedback", "played")
+
+    def __init__(self, queries: np.ndarray, samples: np.ndarray, feedback: np.ndarray):
+        self._queries = queries
+        self._samples = samples
+        self._feedback = feedback
+        self.played = 0
+
+    def __len__(self) -> int:
+        return self.played
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self.played))]
+        if index < 0:
+            index += self.played
+        if not 0 <= index < self.played:
+            raise IndexError("history index out of range")
+        return RoundRecord(
+            index + 1,
+            int(self._queries[index]),
+            int(self._samples[index]),
+            int(self._feedback[index]),
+        )
+
+
 def _play(config, metric, tau, alg, adversary, alg_rng) -> Trajectory:
     """The round loop of run_game, on sides already built."""
     n, horizon = config.n, config.horizon
     measure = _measurer(metric, tau, algorithm_kind(config.algorithm), n)
 
-    records: list[RoundRecord] = []  # the adversary's view of history
     queries = np.empty(horizon, dtype=np.int64)
     samples = np.empty(horizon, dtype=np.int64)
     feedback = np.empty(horizon, dtype=np.int64)
+    history = _PlayedRounds(queries, samples, feedback)
     errors = np.empty(horizon)
     estimates = np.empty(horizon, dtype=np.float64 if metric == "mean" else np.int64)
     cum = np.zeros(n + 2, dtype=np.int64)
@@ -439,12 +499,11 @@ def _play(config, metric, tau, alg, adversary, alg_rng) -> Trajectory:
         q = alg.next_query(alg_rng)
         if not 1 <= q <= n:
             raise ProtocolError("algorithm", t, f"query {q} outside 1..{n}")
-        x = adversary.next_sample(records)
+        x = adversary.next_sample(history)
         if not 1 <= x <= n + 1:
             raise ProtocolError("adversary", t, f"sample {x} outside 1..{n + 1}")
         b = 1 if x <= q else 0
         alg.observe(b)
-        records.append(RoundRecord(t, q, x, b))
         cum[x:] += 1
         total += x
         try:
@@ -455,6 +514,7 @@ def _play(config, metric, tau, alg, adversary, alg_rng) -> Trajectory:
         queries[i] = q
         samples[i] = x
         feedback[i] = b
+        history.played = t
         errors[i] = err
         estimates[i] = est
     return Trajectory(
@@ -567,7 +627,9 @@ def _score_block(
     empirical CDF is its running counts over t, so every float operation is
     the one a whole-horizon replay does, and errors do not depend on how the
     horizon is cut into blocks. The scalar estimates (the median index for a
-    CDF) are returned when want_estimates, else None.
+    CDF) are returned when want_estimates, else None. The quantile metric
+    scores the median index of the CDF rows against tau: those are the rows
+    of the median estimator inside a quantile wrapper.
     """
     rows = len(samples)
     tt = np.arange(t0 + 1, t0 + rows + 1, dtype=np.float64)
@@ -584,7 +646,7 @@ def _score_block(
     np.cumsum(running, axis=0, out=running)
     counts[:] = running[-1]
     f = np.cumsum(running, axis=1, out=running) / tt[:, None]
-    med = np.argmax(est[:, 1:] > 0.5, axis=1) + 1 if metric == "median" or want_estimates else None
+    med = np.argmax(est[:, 1:] > 0.5, axis=1) + 1 if metric != "cdf" or want_estimates else None
     if metric == "cdf":
         diff = np.subtract(est[:, 1:], f[:, 1:], out=f[:, 1:])
         errs = np.abs(diff, out=diff).max(axis=1)
@@ -594,13 +656,15 @@ def _score_block(
     return errs, med
 
 
-def _replay(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool):
+def _replay(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool, index_stats: bool):
     """(errors, squared final index errors or None, Trajectory or None) of one replayed run.
 
     The run's queries, samples and feedback are drawn for the whole horizon
     (O(T)); estimates and scores go block by block, so no T x (n+2) array is
-    ever built. Only cdf- and mean-kind algorithms are replayed, so every
-    metric but mean scores CDF rows.
+    ever built. Every metric but mean scores CDF rows. A block holds about
+    REPLAY_BLOCK_CELLS cells of estimates, and an algorithm whose
+    estimate_batch computes batch_copies estimates per row (the confidence
+    booster) gets that many times fewer rows.
     """
     n, horizon = config.n, config.horizon
     cdf_rows = metric != "mean"
@@ -612,7 +676,8 @@ def _replay(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool)
     estimates = None
     if keep_trajectory:
         estimates = np.empty(horizon, dtype=np.float64 if metric == "mean" else np.int64)
-    block = max(1, REPLAY_BLOCK_CELLS // (n + 2 if cdf_rows else 1))
+    width = (n + 2 if cdf_rows else 1) * getattr(alg, "batch_copies", 1)
+    block = max(1, REPLAY_BLOCK_CELLS // width)
     for lo in range(0, horizon, block):
         hi = min(lo + block, horizon)
         est = alg.estimate_batch(queries[lo:hi], feedback[lo:hi])
@@ -623,7 +688,7 @@ def _replay(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool)
             estimates[lo:hi] = block_estimates
     final = alg.snapshot()
     idx_sq = None
-    if cdf_rows:
+    if index_stats:
         diff = final.values - np.cumsum(counts) / horizon
         idx_sq = diff * diff
     trajectory = None
@@ -637,11 +702,12 @@ def _replay(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool)
 def _chunk_worker(args) -> dict:
     """Partial sums of runs [lo, hi), each run replayed as arrays when its sides allow.
 
-    A run is replayed when the algorithm is cdf- or mean-kind, the built
-    algorithm has query_batch/estimate_batch and the built adversary has
-    sample_batch; the replay does the same float operations on the same
-    values as the round loop, so errors, estimates and trajectories are
-    bit-identical.
+    A run is replayed when the algorithm is cdf-, mean- or quantile-kind,
+    the built algorithm has query_batch/estimate_batch and the built
+    adversary has sample_batch. A quantile-kind estimate_batch returns CDF
+    rows whose median index is the estimate, as the quantile wrapper's does.
+    The replay does the same float operations on the same values as the
+    round loop, so errors, estimates and trajectories are bit-identical.
     """
     config, lo, hi, epsilon, keep_trajectories = args
     metric, tau = resolve_metric(config)
@@ -654,13 +720,13 @@ def _chunk_worker(args) -> dict:
     for run in range(lo, hi):
         alg, adversary, alg_rng = _build_sides(config, run)
         if (
-            kind in ("cdf", "mean")
+            kind in ("cdf", "mean", "quantile")
             and hasattr(alg, "query_batch")
             and hasattr(alg, "estimate_batch")
             and hasattr(adversary, "sample_batch")
         ):
             errs, idx_sq, trajectory = _replay(
-                config, metric, tau, alg, adversary, alg_rng, keep_trajectories
+                config, metric, tau, alg, adversary, alg_rng, keep_trajectories, index_stats
             )
         else:
             trajectory = _play(config, metric, tau, alg, adversary, alg_rng)

@@ -80,17 +80,28 @@ class OnlineAlgorithm:
         raise NotImplementedError
 
 
+def _along(per_row: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """per_row with trailing axes added, so that it broadcasts along each row of cells."""
+    return per_row.reshape(per_row.shape + (1,) * (cells.ndim - per_row.ndim))
+
+
 class _UniformQueries(OnlineAlgorithm):
     """Queries i.i.d. uniform indices whatever the feedback.
 
     Since the queries ignore feedback, a whole game's queries can be drawn up
     front: query_batch(rng, horizon) equals `horizon` successive next_query
-    calls and consumes the rng the same way. Subclasses add
-    estimate_batch(queries, feedback), which ingests a block of rounds: it
+    calls and consumes the rng the same way.
+
+    A subclass keeps one count statistic in self._stat, adds
+    _increments(queries, feedback) to it each round, and turns statistics
+    into estimates with _estimates(stat, t), which takes any leading shape
+    with t broadcast along each statistic (_along). From those two,
+    estimate_batch(queries, feedback) ingests a block of rounds: it
     continues from the instance's state and advances it, and its row i
     equals estimate() after the block's round i+1, bit for bit. So
     consecutive blocks equal one whole call, and snapshot() after the last
-    block equals live play's.
+    block equals live play's. The confidence booster replays its copies
+    from the same two methods.
     """
 
     def _query(self, rng: np.random.Generator) -> int:
@@ -98,6 +109,20 @@ class _UniformQueries(OnlineAlgorithm):
 
     def query_batch(self, rng: np.random.Generator, horizon: int) -> np.ndarray:
         return rng.integers(1, self.n + 1, size=horizon)
+
+    def estimate_batch(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
+        """Row i holds the estimate after the block's round i+1 (CDF values or a mean)."""
+        stat = self._increments(queries, feedback)
+        stat[0] += self._stat  # carried into every row by the cumulative sum
+        np.cumsum(stat, axis=0, out=stat)
+        tt = np.arange(self.t + 1, self.t + len(queries) + 1, dtype=np.float64)
+        self._stat = stat[-1].copy()
+        self.t += len(queries)
+        return self._estimates(stat, _along(tt, stat))
+
+    def _check_observed(self) -> None:
+        if self.t == 0:
+            raise ValidationError("no observations yet")
 
 
 class CdfEst(_UniformQueries):
@@ -113,34 +138,26 @@ class CdfEst(_UniformQueries):
 
     def __init__(self, n: int):
         super().__init__(n)
-        self._tally = np.zeros(n + 2, dtype=np.int64)
+        self._stat = np.zeros(n + 2, dtype=np.int64)  # positive feedback per index
 
     def _ingest(self, query: int, feedback: int) -> None:
         if feedback:
-            self._tally[query] += 1
+            self._stat[query] += 1
+
+    def _increments(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
+        hit = np.flatnonzero(feedback)
+        tally = np.zeros((len(queries), self.n + 2), dtype=np.int64)
+        tally[hit, queries[hit]] = 1
+        return tally
+
+    def _estimates(self, tally: np.ndarray, t) -> np.ndarray:
+        values = tally * (self.n / t)
+        values[..., -1] = 1.0
+        return values
 
     def estimate(self) -> CdfEstimate:
-        if self.t == 0:
-            raise ValidationError("no observations yet")
-        values = np.zeros(self.n + 2)
-        values[1:-1] = self._tally[1:-1] * (self.n / self.t)
-        values[-1] = 1.0
-        return CdfEstimate._trusted(self.n, values)
-
-    def estimate_batch(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
-        """Row i holds estimate().values after the block's round i+1: a rows x (n+2) array."""
-        rows = len(queries)
-        hit = np.flatnonzero(feedback)
-        tally = np.zeros((rows, self.n + 2), dtype=np.int64)
-        tally[hit, queries[hit]] = 1
-        tally[0] += self._tally  # carried into every row by the cumulative sum
-        np.cumsum(tally, axis=0, out=tally)
-        tt = np.arange(self.t + 1, self.t + rows + 1, dtype=np.float64)
-        values = tally * (self.n / tt)[:, None]
-        values[:, -1] = 1.0
-        self._tally = tally[-1].copy()
-        self.t += rows
-        return values
+        self._check_observed()
+        return CdfEstimate._trusted(self.n, self._estimates(self._stat, self.t))
 
     def snapshot(self) -> CdfEstimate:
         return self.estimate()
@@ -157,25 +174,21 @@ class MeanEst(_UniformQueries):
 
     def __init__(self, n: int):
         super().__init__(n)
-        self._above = 0
+        self._stat = 0  # rounds with the sample above the query
 
     def _ingest(self, query: int, feedback: int) -> None:
         if not feedback:
-            self._above += 1
+            self._stat += 1
+
+    def _increments(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
+        return (feedback == 0).astype(np.int64)
+
+    def _estimates(self, above, t):
+        return 1.0 + (self.n / t) * above
 
     def estimate(self) -> float:
-        if self.t == 0:
-            raise ValidationError("no observations yet")
-        return 1.0 + (self.n / self.t) * self._above
-
-    def estimate_batch(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
-        """Entry i is estimate() after the block's round i+1."""
-        rows = len(queries)
-        above = np.cumsum(feedback == 0) + self._above
-        tt = np.arange(self.t + 1, self.t + rows + 1, dtype=np.float64)
-        self._above = int(above[-1])
-        self.t += rows
-        return 1.0 + (self.n / tt) * above
+        self._check_observed()
+        return float(self._estimates(self._stat, self.t))
 
     def snapshot(self) -> float:
         return self.estimate()
@@ -488,6 +501,25 @@ def _median_of(alg: OnlineAlgorithm) -> int:
     return int(alg.snapshot())
 
 
+def _live_median(values: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """np.median over axis 0 of the entries where live holds, bit for bit.
+
+    values holds one estimate per copy along axis 0; live is boolean with
+    values' leading shape, and every lane needs a live entry. Entries that
+    are not live sort last as +inf, so a lane with c live entries takes the
+    sorted entries (c-1)//2 and c//2 and averages them: for even c that is
+    the mean of the middle pair that np.median takes, and for odd c both are
+    the middle entry, and (a + a) / 2 == a exactly.
+    """
+    copies = len(values)
+    ordered = np.sort(np.where(_along(live, values), values, np.inf), axis=0)
+    ordered = ordered.reshape(copies, live[0].size, -1)
+    count = live.reshape(copies, -1).sum(axis=0)
+    lane = np.arange(len(count))
+    middle = ordered[(count - 1) // 2, lane] + ordered[count // 2, lane]
+    return middle.reshape(values.shape[1:]) / 2
+
+
 class QuantileReduction(OnlineAlgorithm):
     """Feedback rewriting that turns a median estimator into a tau-quantile one.
 
@@ -497,6 +529,12 @@ class QuantileReduction(OnlineAlgorithm):
     occasionally swapped for n+1 (respectively 1), which shifts the inner
     median onto the tau-quantile. tau = 1/2 is the identity wrapper and draws
     nothing, so it is bit-identical to the bare inner algorithm.
+
+    The coins B come from rng, which must be a lane of their own: draws of
+    the inner algorithm on the same generator would interleave with them.
+    Over a CDF-kind inner algorithm with batch methods the wrapper has them
+    too: query_batch is the inner one, and estimate_batch returns the inner
+    CDF rows fed the rewritten feedback, whose median index is the estimate.
     """
 
     kind = "quantile"
@@ -531,6 +569,32 @@ class QuantileReduction(OnlineAlgorithm):
     def snapshot(self) -> int:
         return _median_of(self.inner)
 
+    def _batchable(self) -> OnlineAlgorithm:
+        inner = self.inner
+        if inner.kind != "cdf" or not hasattr(inner, "estimate_batch"):
+            raise AttributeError("the inner algorithm has no batch methods for CDF rows")
+        return inner
+
+    @property
+    def query_batch(self):
+        return self._batchable().query_batch
+
+    @property
+    def estimate_batch(self):
+        self._batchable()
+        return self._estimate_batch
+
+    @property
+    def batch_copies(self) -> int:
+        return getattr(self.inner, "batch_copies", 1)
+
+    def _estimate_batch(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
+        if self.tau != 0.5:
+            coins = self._rng.random(len(queries)) < self._p
+            feedback = feedback & coins if self.tau > 0.5 else feedback | ~coins
+        self.t += len(queries)
+        return self.inner.estimate_batch(queries, feedback)
+
 
 class ConfidenceBoost(OnlineAlgorithm):
     """Random-routing ensemble returning the median of its copies' estimates.
@@ -539,6 +603,13 @@ class ConfidenceBoost(OnlineAlgorithm):
     round to a uniformly random copy, and snapshots the median estimate:
     pointwise over CDF values for CDF-kind copies, the scalar median
     otherwise. Copies that have seen no rounds yet are skipped.
+
+    The routing comes from rng, which must be a lane of its own. When the
+    copies are cdf- or mean-kind uniform queriers, a round's query does not
+    depend on which copy it is routed to, so the booster has batch methods:
+    query_batch is a copy's, and estimate_batch replays every copy at once.
+    Its rows hold k copies' estimates, which batch_copies reports so the
+    replay can size its blocks.
     """
 
     def __init__(
@@ -565,6 +636,9 @@ class ConfidenceBoost(OnlineAlgorithm):
         self.delta = float(delta)
         self._rng = rng
         self._active: int | None = None
+        self._batchable = self.kind in ("cdf", "mean") and all(
+            isinstance(c, _UniformQueries) for c in self.copies
+        )
 
     @property
     def k(self) -> int:
@@ -581,16 +655,64 @@ class ConfidenceBoost(OnlineAlgorithm):
         self._active = None
 
     def snapshot(self):
-        live = [c for c in self.copies if c.t > 0]
+        live = [c.snapshot() for c in self.copies if c.t > 0]
         if not live:
             raise ValidationError("no observations yet")
+        everyone = np.ones(len(live), dtype=bool)
         if self.kind == "cdf":
-            stacked = np.stack([c.snapshot().values for c in live])
-            return CdfEstimate._trusted(self.n, np.median(stacked, axis=0))
+            values = _live_median(np.stack([s.values for s in live]), everyone)
+            return CdfEstimate._trusted(self.n, values)
         if self.kind == "mean":
-            return float(np.median([c.snapshot() for c in live]))
-        estimates = sorted(int(c.snapshot()) for c in live)
+            return float(_live_median(np.array(live, dtype=np.float64), everyone))
+        estimates = sorted(int(s) for s in live)
         return estimates[(len(estimates) - 1) // 2]
+
+    def _batch_copy(self) -> _UniformQueries:
+        if not self._batchable:
+            raise AttributeError("the copies have no batch methods")
+        return self.copies[0]
+
+    @property
+    def query_batch(self):
+        return self._batch_copy().query_batch
+
+    @property
+    def estimate_batch(self):
+        self._batch_copy()
+        return self._estimate_batch
+
+    @property
+    def batch_copies(self) -> int:
+        return self.k
+
+    def _estimate_batch(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
+        """Row i holds snapshot() after the block's round i+1: median CDF values or means.
+
+        The block's routing is drawn as live play draws it. Each copy's
+        statistic and round count after every round come from cumulative
+        sums over one-hot routing, copies first, and the copies' _estimates
+        turn them into estimates; a copy with no round yet is not live. Every
+        copy's state is advanced, so snapshot() afterwards equals live play's.
+        """
+        rows, k = len(queries), self.k
+        first = self.copies[0]
+        route = self._rng.integers(k, size=rows)
+        played = np.arange(rows)
+        increments = first._increments(queries, feedback)
+        stat = np.zeros((k,) + increments.shape, dtype=np.int64)
+        stat[route, played] = increments
+        stat[:, 0] += np.array([c._stat for c in self.copies])
+        np.cumsum(stat, axis=1, out=stat)
+        t = np.zeros((k, rows), dtype=np.int64)
+        t[route, played] = 1
+        t[:, 0] += [c.t for c in self.copies]
+        np.cumsum(t, axis=1, out=t)
+        # each copy's statistic becomes its row of one fresh array
+        for copy, last, count in zip(self.copies, stat[:, -1].copy(), t[:, -1].tolist()):
+            copy._stat = last
+            copy.t = count
+        self.t += rows
+        return _live_median(first._estimates(stat, _along(np.maximum(t, 1), stat)), t > 0)
 
 
 # ---------------------------------------------------------------------------

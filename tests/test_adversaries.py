@@ -29,7 +29,7 @@ from threshold_arena import (
     save_sample_sequence,
     uniform_pmf,
 )
-from threshold_arena.adversaries import _HistoryTail
+from threshold_arena.adversaries import Adversary, _HistoryTail
 from threshold_arena.estimators import HalvingBaseline, MidpointBaseline
 
 
@@ -297,6 +297,14 @@ _AMPLIFIED = {
     "nested-mirror": lambda cls, g: cls(
         lambda segment: cls(lambda inner: AdaptiveMirrorAdversary(16), t0=1), t0=1
     ),
+    # segments that draw at construction (coin) or per round (stochastic)
+    "coin": lambda cls, g: cls(lambda segment: ConstantCoinAdversary(16, g), t0=1),
+    "stochastic": lambda cls, g: cls(
+        lambda segment: StochasticAdversary(cdf_lb_family(16, Fraction(1, 40), "alt"), g), t0=1
+    ),
+    "nested-coin": lambda cls, g: cls(
+        lambda segment: cls(lambda inner: ConstantCoinAdversary(16, g), t0=1), t0=1
+    ),
 }
 
 
@@ -370,6 +378,32 @@ class TestAnytimeAmplifier:
             expected.append(reference.next_sample(history))
             history.append(RoundRecord.play(t, q, samples[-1]))
         assert samples == expected
+
+
+    @pytest.mark.parametrize("name", sorted(_AMPLIFIED))
+    def test_sample_batch_replays_next_sample(self, name):
+        # 1200 rounds cross the segment boundaries at 1, 33 and 1089
+        queries = rng(5).integers(1, 17, size=1200)
+        g_batch, g_live = rng(9), rng(9)
+        batch = _AMPLIFIED[name](AnytimeAdversary, g_batch).sample_batch(queries)
+        assert batch.dtype == np.int64
+        live = _AMPLIFIED[name](AnytimeAdversary, g_live)
+        history = []
+        for t, q in enumerate(queries.tolist(), start=1):
+            history.append(RoundRecord.play(t, q, live.next_sample(history)))
+        assert batch.tolist() == [r.sample for r in history]
+        assert g_batch.random() == g_live.random()  # same rng consumption, in the same order
+
+    def test_no_sample_batch_without_segment_batches(self):
+        class _Plain(Adversary):
+            n = 4
+
+            def next_sample(self, history):
+                return 1
+
+        assert not hasattr(AnytimeAdversary(lambda segment: _Plain()), "sample_batch")
+        nested = AnytimeAdversary(lambda segment: AnytimeAdversary(lambda inner: _Plain()))
+        assert not hasattr(nested, "sample_batch")
 
 
 class TestBreaker:

@@ -20,10 +20,12 @@ from threshold_arena import (
     recompute_errors,
     resolve_metric,
     run_game,
+    spawn_lane,
     summary_to_dict,
     validate_config,
     write_trajectory_csv,
 )
+from threshold_arena.adversaries import Adversary
 from threshold_arena.arena import ROLE_ADVERSARY, ROLE_ALGORITHM, CHUNK_RUNS
 
 
@@ -37,6 +39,36 @@ def test_derive_rng_lanes_are_independent_and_stable():
     assert not np.array_equal(a1, c)
     with pytest.raises(ValidationError):
         derive_rng(-1, 0, ROLE_ALGORITHM)
+
+
+def test_spawn_lane_draws_nothing_from_its_parent():
+    parent, twin = derive_rng(5, 0, ROLE_ALGORITHM), derive_rng(5, 0, ROLE_ALGORITHM)
+    parent.random(3)
+    twin.random(3)
+    first, second = spawn_lane(parent), spawn_lane(parent)
+    assert parent.random() == twin.random()
+    a, b = first.random(4), second.random(4)
+    assert not np.array_equal(a, b)
+    assert np.array_equal(spawn_lane(derive_rng(5, 0, ROLE_ALGORITHM)).random(4), a)
+
+
+@pytest.mark.parametrize(
+    "wrapper",
+    [
+        AlgorithmSpec("quantile", {"tau": 0.75, "inner": "cdfest"}),
+        AlgorithmSpec("boosted", {"delta": 0.1, "inner": "cdfest"}),
+        AlgorithmSpec(
+            "quantile", {"tau": 0.25, "inner": {"name": "boosted", "params": {"delta": 0.2, "inner": "cdfest"}}}
+        ),
+    ],
+    ids=["quantile", "boosted", "quantile-boosted"],
+)
+def test_wrappers_leave_the_algorithm_lane_to_the_inner_queries(wrapper):
+    def queries(algorithm):
+        config = GameConfig(n=8, horizon=60, algorithm=algorithm, adversary="uniform", seed=4)
+        return run_game(config, run_id=1).queries
+
+    assert np.array_equal(queries(wrapper), queries("cdfest"))
 
 
 class TestResolveMetric:
@@ -235,6 +267,42 @@ class TestRecomputeErrors:
             recompute_errors(run_game(config))
 
 
+_PREFIX_SEQUENCE = [(7 * t) % 17 + 1 for t in range(1100)]
+
+
+def _amplified(inner):
+    return AdversarySpec("amplified", {"inner": inner})
+
+
+# inner adversaries of the amplifier in the parity tests; the sequence covers
+# the third segment, which it is built for in round 34
+_AMPLIFIED_INNERS = {
+    "uniform": "uniform",
+    "mirror": "mirror",
+    "coin": "coin",
+    "median-lb": {"name": "median-lb", "params": {"k": 4, "m": 1, "epsilon": "1/32"}},
+    "sequence": {"name": "sequence", "params": {"samples": _PREFIX_SEQUENCE}},
+}
+
+
+# (algorithm, metric, adversary) of the matchups the wrappers and the
+# amplifier bring to the replay
+_WRAPPER_MATCHUPS = {
+    "quantile-0.75-uniform": (AlgorithmSpec("quantile", {"tau": 0.75, "inner": "cdfest"}), None, "uniform"),
+    "quantile-0.25-uniform": (AlgorithmSpec("quantile", {"tau": 0.25, "inner": "cdfest"}), None, "uniform"),
+    "boosted-cdfest-cdf-uniform": (AlgorithmSpec("boosted", {"delta": 0.1, "inner": "cdfest"}), "cdf", "uniform"),
+    "boosted-cdfest-median-mirror": (
+        AlgorithmSpec("boosted", {"delta": 0.1, "inner": "cdfest"}), "median", "mirror"
+    ),
+    "boosted-meanest-mean-uniform": (AlgorithmSpec("boosted", {"delta": 0.1, "inner": "meanest"}), None, "uniform"),
+    **{
+        f"{algorithm}-amplified-{name}": (algorithm, None, _amplified(inner))
+        for algorithm in ("cdfest", "meanest")
+        for name, inner in _AMPLIFIED_INNERS.items()
+    },
+}
+
+
 class TestMonteCarlo:
     def test_single_run_equals_run_game(self):
         config = GameConfig(n=8, horizon=60, algorithm="meanest", adversary="uniform", seed=2)
@@ -300,6 +368,10 @@ class TestMonteCarlo:
             pytest.param(
                 "cdfest", "median", "uniform", {"anytime": True, "burn_in": 10}, id="cdfest-median-anytime"
             ),
+            *[
+                pytest.param(*case, {}, id=name)
+                for name, case in sorted(_WRAPPER_MATCHUPS.items())
+            ],
         ],
     )
     def test_fast_path_matches_general_path_bitwise(self, algorithm, metric, adversary, options):
@@ -387,8 +459,29 @@ class TestMonteCarlo:
             AdversarySpec("median-lb", {"k": 4, "m": 1, "epsilon": 0}),
             "median-lb config has n = 4k = 16, game has n = 4",
         ),
+        (
+            AlgorithmSpec("quantile", {"tau": 0.75}),
+            AdversarySpec("stochastic", {"pmf": [0.6, 0.6, -0.2, 0, 0]}),
+            "pmf has a negative entry at value 3",
+        ),
+        (AlgorithmSpec("quantile", {"tau": 1.0}), "uniform", "tau must lie strictly inside (0, 1), got 1.0"),
+        (AlgorithmSpec("boosted", {"delta": 0.5, "inner": "cdfest"}), "uniform", "delta must lie in (0, 1/4], got 0.5"),
+        (
+            AlgorithmSpec("boosted", {"delta": 0.1}),
+            _amplified({"name": "stochastic", "params": {"pmf": [0.2, 0.1, 0.1, 0.1, 0]}}),
+            "pmf sums to 0.5, not 1",
+        ),
+        (
+            "cdfest",
+            AdversarySpec("amplified", {"inner": {"name": "sequence", "params": {"samples": [1, 2, 3]}}, "t0": 4}),
+            "sample sequence exhausted after 3 rounds, before the horizon 4",
+        ),
     ],
-    ids=["negative-pmf", "pmf-sum", "pmf-length", "short-sequence", "sequence-range", "median-lb-n"],
+    ids=[
+        "negative-pmf", "pmf-sum", "pmf-length", "short-sequence", "sequence-range", "median-lb-n",
+        "quantile-negative-pmf", "quantile-tau", "boosted-delta", "boosted-amplified-pmf-sum",
+        "amplified-short-sequence",
+    ],
 )
 def test_engines_reject_the_same_inputs(algorithm, adversary, message):
     config = GameConfig(n=4, horizon=8, algorithm=algorithm, adversary=adversary, seed=1)
@@ -404,18 +497,47 @@ def test_engines_reject_the_same_inputs(algorithm, adversary, message):
         assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("algorithm", ["cdfest", AlgorithmSpec("quantile", {"tau": 0.75})])
+def test_engines_reject_a_segment_past_its_sequence_alike(algorithm):
+    # the amplifier builds its second segment, of 32 rounds, in round 2
+    adversary = _amplified({"name": "sequence", "params": {"samples": [1, 2, 3]}})
+    config = GameConfig(n=4, horizon=8, algorithm=algorithm, adversary=adversary, seed=1)
+    entry_points = [
+        lambda: run_game(config),
+        lambda: monte_carlo(config, 4),
+        lambda: monte_carlo(config, 4, sink=lambda run_id, tr: None),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValidationError) as caught:
+            call()
+        assert str(caught.value) == "sample sequence exhausted after 3 rounds, before the horizon 32"
+
+
 _PARITY_ADVERSARIES = {
     "uniform": "uniform",
     "mirror": "mirror",
     "sequence": AdversarySpec("sequence", {"samples": [(5 * t) % 17 + 1 for t in range(48)]}),
     "coin": "coin",
     "median-lb": AdversarySpec("median-lb", {"k": 4, "m": 1, "epsilon": "1/32", "sigma": "+-+-"}),
+    **{f"amplified-{name}": _amplified(inner) for name, inner in _AMPLIFIED_INNERS.items()},
 }
 
 
 @pytest.mark.parametrize("adversary", sorted(_PARITY_ADVERSARIES))
 @pytest.mark.parametrize(
-    "algorithm,metric", [("cdfest", "cdf"), ("cdfest", "median"), ("meanest", "mean")]
+    "algorithm,metric",
+    [
+        ("cdfest", "cdf"),
+        ("cdfest", "median"),
+        ("meanest", "mean"),
+        pytest.param(AlgorithmSpec("quantile", {"tau": 0.75}), "quantile", id="quantile-0.75"),
+        pytest.param(AlgorithmSpec("quantile", {"tau": 0.25}), "quantile", id="quantile-0.25"),
+        pytest.param(AlgorithmSpec("boosted", {"delta": 0.1, "inner": "cdfest"}), "cdf", id="boosted-cdfest-cdf"),
+        pytest.param(
+            AlgorithmSpec("boosted", {"delta": 0.1, "inner": "cdfest"}), "median", id="boosted-cdfest-median"
+        ),
+        pytest.param(AlgorithmSpec("boosted", {"delta": 0.1, "inner": "meanest"}), "mean", id="boosted-meanest"),
+    ],
 )
 def test_sink_trajectories_equal_run_game(algorithm, metric, adversary):
     config = GameConfig(
@@ -431,8 +553,8 @@ def test_sink_trajectories_equal_run_game(algorithm, metric, adversary):
             a, b = getattr(replayed, column), getattr(played, column)
             assert a.dtype == b.dtype and np.array_equal(a, b), column
         assert (replayed.n, replayed.metric, replayed.tau) == (played.n, played.metric, played.tau)
-        if metric == "mean":
-            assert type(replayed.final_snapshot) is float
+        if metric in ("mean", "quantile"):
+            assert type(replayed.final_snapshot) is (float if metric == "mean" else int)
             assert replayed.final_snapshot == played.final_snapshot
         else:
             assert np.array_equal(replayed.final_snapshot.values, played.final_snapshot.values)
@@ -475,6 +597,61 @@ def test_median_kind_batch_methods_take_the_round_loop():
     assert summary.success_at_horizon == sum(g.errors[-1] <= 0.2 for g in games) / 4
 
 
+@pytest.mark.parametrize("name", sorted(_WRAPPER_MATCHUPS))
+def test_wrapper_matchups_take_the_replay(name, monkeypatch):
+    import threshold_arena.arena as arena_mod
+
+    algorithm, metric, adversary = _WRAPPER_MATCHUPS[name]
+    config = GameConfig(n=16, horizon=40, algorithm=algorithm, adversary=adversary, metric=metric, seed=3)
+    games = [run_game(config, run_id=r) for r in range(2)]
+
+    def refuse(*args):
+        raise AssertionError("round loop played")
+
+    monkeypatch.setattr(arena_mod, "_play", refuse)
+    summary = monte_carlo(config, 2)
+    assert np.array_equal(summary.final_errors, [g.errors[-1] for g in games])
+
+
+class _EchoAdversary(Adversary):
+    """Steps one past its previous sample, cycling: it reads history, so it has no sample_batch."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def next_sample(self, history):
+        return history[-1].sample % self.n + 1 if history else 1
+
+
+_ROUND_LOOP_WRAPPERS = {
+    "quantile-stochastic-cdf": (AlgorithmSpec("quantile", {"tau": 0.75, "inner": "stochastic-cdf"}), "uniform"),
+    "quantile-halving": (AlgorithmSpec("quantile", {"tau": 0.25, "inner": "halving"}), "uniform"),
+    "boosted-halving": (AlgorithmSpec("boosted", {"delta": 0.1, "inner": "halving"}), "uniform"),
+    "boosted-stochastic-cdf": (AlgorithmSpec("boosted", {"delta": 0.2, "inner": "stochastic-cdf"}), "uniform"),
+    "amplified-echo": ("cdfest", _amplified("echo")),
+    "quantile-amplified-echo": (AlgorithmSpec("quantile", {"tau": 0.75}), _amplified("echo")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUND_LOOP_WRAPPERS))
+def test_wrappers_without_inner_batch_methods_take_the_round_loop(name, monkeypatch):
+    import threshold_arena.arena as arena_mod
+    from threshold_arena import register_adversary
+
+    register_adversary("echo", lambda p, n, horizon, rng: _EchoAdversary(n))
+    algorithm, adversary = _ROUND_LOOP_WRAPPERS[name]
+    config = GameConfig(n=8, horizon=40, algorithm=algorithm, adversary=adversary, seed=7)
+    games = [run_game(config, run_id=r) for r in range(3)]
+
+    def refuse(*args):
+        raise AssertionError("replayed")
+
+    monkeypatch.setattr(arena_mod, "_replay", refuse)
+    summary = monte_carlo(config, 3, epsilon=0.2)
+    assert np.array_equal(summary.final_errors, [g.errors[-1] for g in games])
+    assert np.array_equal(summary.mean_error, sum(g.errors for g in games) / 3)
+
+
 _PREFIX_ALGORITHMS = {
     "cdfest": "cdfest",
     "meanest": "meanest",
@@ -484,7 +661,6 @@ _PREFIX_ALGORITHMS = {
     "midpoint": "midpoint",
     "halving": "halving",
 }
-_PREFIX_SEQUENCE = [(7 * t) % 17 + 1 for t in range(1100)]
 _PREFIX_ADVERSARIES = {
     "uniform": "uniform",
     "point-mass": AdversarySpec("point-mass", {"j": 5}),

@@ -187,6 +187,81 @@ def test_batch_methods_replay_live_play(cls):
         assert type(blocked.snapshot()) is float and blocked.snapshot() == alg.snapshot()
 
 
+_BATCH_WRAPPERS = {
+    "quantile-0.75": lambda g: QuantileReduction(CdfEst(7), 0.75, g),
+    "quantile-0.25": lambda g: QuantileReduction(CdfEst(7), 0.25, g),
+    "boosted-cdf": lambda g: ConfidenceBoost(lambda: CdfEst(7), 0.25, g, copies=6),
+    "boosted-mean": lambda g: ConfidenceBoost(lambda: MeanEst(7), 0.25, g, copies=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_WRAPPERS))
+def test_wrapper_batch_methods_replay_live_play(name):
+    # uneven blocks, one of a single row; early rounds leave some copies idle
+    n, horizon = 7, 60
+    samples = rng(4).integers(1, n + 2, size=horizon)
+    g_batch, g_live = rng(5), rng(5)  # the algorithm lane
+    batch, live = _BATCH_WRAPPERS[name](rng(6)), _BATCH_WRAPPERS[name](rng(6))  # own lanes
+    queries = batch.query_batch(g_batch, horizon)
+    feedback = samples <= queries
+    cuts = [0, 13, 14, 41, horizon]
+    rows = np.concatenate(
+        [batch.estimate_batch(queries[a:b], feedback[a:b]) for a, b in zip(cuts, cuts[1:])]
+    )
+    for t in range(horizon):
+        assert live.next_query(g_live) == queries[t]
+        live.observe(int(feedback[t]))
+        if name.startswith("quantile"):
+            assert np.array_equal(rows[t], live.inner.snapshot().values)
+            assert median_from_cdf(CdfEstimate(n, rows[t])) == live.snapshot()
+        elif name == "boosted-cdf":
+            assert np.array_equal(rows[t], live.snapshot().values)
+        else:
+            assert rows[t] == live.snapshot()
+    assert g_batch.random() == g_live.random()  # same rng consumption
+    assert batch._rng.random() == live._rng.random()
+    assert batch.t == live.t == horizon
+    if name.startswith("boosted"):
+        assert [c.t for c in batch.copies] == [c.t for c in live.copies]
+        assert min(c.t for c in live.copies) > 0
+        final = batch.snapshot()
+        expect = live.snapshot()
+        if name == "boosted-cdf":
+            assert np.array_equal(final.values, expect.values)
+        else:
+            assert type(final) is float and final == expect
+    else:
+        assert batch.snapshot() == live.snapshot()
+
+
+def test_live_median_equals_np_median_bitwise():
+    from threshold_arena.estimators import _live_median
+
+    g = rng(11)
+    copies, lanes = 7, 300
+    # multiples of 1/7 and 1/3 give ties and inexact middle-pair sums
+    values = g.integers(0, 30, size=(copies, lanes, 4)) / g.choice([3.0, 7.0], size=(copies, lanes, 4))
+    live = g.random((copies, lanes)) < 0.5
+    live[g.integers(copies, size=lanes), np.arange(lanes)] = True
+    counts = live.sum(axis=0)
+    assert {1, 2, 3, 4}.issubset(set(counts.tolist())) and (counts < copies).any()
+    rows = _live_median(values, live)
+    means = _live_median(values[:, :, 0], live)
+    for r in range(lanes):
+        assert np.array_equal(rows[r], np.median(values[live[:, r], r], axis=0))
+        assert means[r] == np.median(values[live[:, r], r, 0])
+    # the booster's snapshot skips idle copies and takes the same median
+    boost = ConfidenceBoost(lambda: CdfEst(4), 0.25, rng(3), copies=4)
+    g_live = rng(4)
+    for bit in (1, 0, 1):
+        boost.next_query(g_live)
+        boost.observe(bit)
+    live_copies = [c for c in boost.copies if c.t > 0]
+    assert 1 < len(live_copies) < 4
+    stacked = np.stack([c.snapshot().values for c in live_copies])
+    assert np.array_equal(boost.snapshot().values, np.median(stacked, axis=0))
+
+
 def test_alternation_protocol_enforced():
     alg = CdfEst(4)
     with pytest.raises(ProtocolError, match="observe"):
