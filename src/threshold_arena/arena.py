@@ -3,8 +3,8 @@
 A game couples one OnlineAlgorithm with one Adversary for a fixed horizon:
 each round the algorithm commits a query and the adversary commits a sample,
 neither seeing the other's current choice, then the feedback bit goes to the
-algorithm and the query joins the adversary-visible history. Errors are
-recorded every round against the exact running empirical CDF / mean.
+algorithm and the query joins the adversary-visible history. Every round's
+estimate is scored against the exact running empirical CDF / mean.
 
 Everything is reproducible: a master seed is split into independent
 per-(run, role) lanes via numpy SeedSequence spawn keys, and runs are
@@ -16,9 +16,11 @@ algorithm has query_batch and estimate_batch and the adversary has
 sample_batch (queries that ignore feedback, samples that depend only on
 queries), the run is replayed as arrays from the very same random streams,
 else it is played round by round. The wrappers have the batch methods when
-what they wrap does, and so does the anytime amplifier. Either engine
-yields the same columnar Trajectory, which is what sinks and the CSV export
-consume.
+what they wrap does, and so does the anytime amplifier. Both engines score
+with one kernel (_score_run, _score_block) in blocks of rounds: the round
+loop buffers each round's estimate, the replay takes estimate_batch's rows.
+Either engine yields the same columnar Trajectory, which is what sinks and
+the CSV export consume.
 """
 
 from __future__ import annotations
@@ -40,14 +42,13 @@ from .core import (
     RoundRecord,
     Trajectory,
     ValidationError,
-    _ks_floats,
     _quantile_error_floats,
     mean_error,
 )
 from . import adversaries as adv_mod
 from . import estimators as est_mod
 from .adversaries import Adversary
-from .estimators import OnlineAlgorithm, median_from_cdf
+from .estimators import OnlineAlgorithm
 
 ROLE_ALGORITHM = 1
 ROLE_ADVERSARY = 2
@@ -56,8 +57,8 @@ ROLE_ADVERSARY = 2
 # every floating-point sum) is identical no matter how many workers run it.
 CHUNK_RUNS = 32
 
-# The replay scores a run in row blocks of about this many estimate cells
-# (rows x (n+2) for a CDF, rows for a mean), so its memory is O(block) plus
+# Both engines score a run in row blocks of about this many cells (rows x
+# (n+2), or rows for the mean metric), so scoring memory is O(block), plus
 # O(T) for the run's columns, whatever the horizon.
 REPLAY_BLOCK_CELLS = 1 << 14
 
@@ -385,7 +386,12 @@ def resolve_metric(config: GameConfig) -> tuple[str, float]:
 
 
 def validate_config(config: GameConfig) -> None:
-    """Exhaustive pre-run validation, including a dry build of both sides."""
+    """Check a config's shape and metric, and run the builders' checks on run 0's sides.
+
+    An amplified adversary builds only its first segment here. Later segments
+    are built mid-game, and one that fails then (a sequence too short for it)
+    fails both engines alike with the builder's error.
+    """
     resolve_metric(config)
     _build_sides(config, 0)
 
@@ -400,42 +406,8 @@ def _build_sides(config: GameConfig, run_id: int):
 
 
 # ---------------------------------------------------------------------------
-# Single game.
+# Single game, and the scoring both engines share.
 # ---------------------------------------------------------------------------
-
-def _measurer(metric: str, tau: float, kind: str, n: int):
-    """Per-round (error, scalar estimate) from the live snapshot and counts."""
-    def checked(m: int) -> int:
-        if not 1 <= m <= n + 1:
-            raise ValidationError(f"index estimate {m} outside 1..{n + 1}")
-        return m
-
-    if metric == "cdf":
-        def measure(alg, cum, t, total):
-            snap = alg.snapshot()
-            f = cum / t
-            return _ks_floats(snap.values, f), median_from_cdf(snap)
-    elif metric == "median":
-        if kind == "cdf":
-            def measure(alg, cum, t, total):
-                m = median_from_cdf(alg.snapshot())
-                return _quantile_error_floats(cum / t, m, 0.5), m
-        else:
-            def measure(alg, cum, t, total):
-                m = checked(int(alg.snapshot()))
-                return _quantile_error_floats(cum / t, m, 0.5), m
-    elif metric == "quantile":
-        def measure(alg, cum, t, total):
-            w = checked(int(alg.snapshot()))
-            return _quantile_error_floats(cum / t, w, tau), w
-    elif metric == "mean":
-        def measure(alg, cum, t, total):
-            v = float(alg.snapshot())
-            return mean_error(v, total / t, n), v
-    else:
-        raise ValidationError(f"unknown metric {metric!r}")
-    return measure
-
 
 def run_game(config: GameConfig, run_id: int = 0) -> Trajectory:
     """Play one seeded game and record the full trajectory.
@@ -445,7 +417,7 @@ def run_game(config: GameConfig, run_id: int = 0) -> Trajectory:
     raise ProtocolError naming the offender and the round.
     """
     metric, tau = resolve_metric(config)
-    return _play(config, metric, tau, *_build_sides(config, run_id))
+    return _play(config, metric, tau, *_build_sides(config, run_id), True, False)[2]
 
 
 class _PlayedRounds(Sequence):
@@ -482,52 +454,132 @@ class _PlayedRounds(Sequence):
         )
 
 
-def _play(config, metric, tau, alg, adversary, alg_rng) -> Trajectory:
-    """The round loop of run_game, on sides already built."""
-    n, horizon = config.n, config.horizon
-    measure = _measurer(metric, tau, algorithm_kind(config.algorithm), n)
+def _play(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool, index_stats: bool):
+    """The round loop: _replay's result for any pair of sides, played round by round.
 
-    queries = np.empty(horizon, dtype=np.int64)
-    samples = np.empty(horizon, dtype=np.int64)
-    feedback = np.empty(horizon, dtype=np.int64)
+    Every round is checked as it is played, so a query, sample or index
+    estimate out of range, or a ValidationError from snapshot(), raises
+    ProtocolError at its own round, before the next round is played. Each
+    round's estimate goes into a block buffer (the CDF values of a CDF-kind
+    algorithm, else the scalar estimate), and _score_run scores full blocks.
+    """
+    n, horizon = config.n, config.horizon
+    kind = algorithm_kind(config.algorithm)
+    queries, samples, feedback = (np.empty(horizon, dtype=np.int64) for _ in range(3))
     history = _PlayedRounds(queries, samples, feedback)
-    errors = np.empty(horizon)
-    estimates = np.empty(horizon, dtype=np.float64 if metric == "mean" else np.int64)
-    cum = np.zeros(n + 2, dtype=np.int64)
-    total = 0
-    for t in range(1, horizon + 1):
-        q = alg.next_query(alg_rng)
-        if not 1 <= q <= n:
-            raise ProtocolError("algorithm", t, f"query {q} outside 1..{n}")
-        x = adversary.next_sample(history)
-        if not 1 <= x <= n + 1:
-            raise ProtocolError("adversary", t, f"sample {x} outside 1..{n + 1}")
-        b = 1 if x <= q else 0
-        alg.observe(b)
-        cum[x:] += 1
-        total += x
-        try:
-            err, est = measure(alg, cum, t, total)
-        except ValidationError as exc:
-            raise ProtocolError("algorithm", t, str(exc))
-        i = t - 1
-        queries[i] = q
-        samples[i] = x
-        feedback[i] = b
-        history.played = t
-        errors[i] = err
-        estimates[i] = est
-    return Trajectory(
-        n=n,
-        metric=metric,
-        tau=tau,
-        queries=queries,
-        samples=samples,
-        feedback=feedback,
-        errors=errors,
-        estimates=estimates,
-        final_snapshot=alg.snapshot(),
+    block = _block_rows(metric, n)
+
+    def blocks():
+        shape = (block, n + 2) if kind == "cdf" else block
+        rows = np.empty(shape, dtype=np.int64 if kind in ("median", "quantile") else np.float64)
+        for i in range(horizon):
+            t, r = i + 1, i % block
+            q = alg.next_query(alg_rng)
+            if not 1 <= q <= n:
+                raise ProtocolError("algorithm", t, f"query {q} outside 1..{n}")
+            x = adversary.next_sample(history)
+            if not 1 <= x <= n + 1:
+                raise ProtocolError("adversary", t, f"sample {x} outside 1..{n + 1}")
+            b = 1 if x <= q else 0
+            alg.observe(b)
+            queries[i], samples[i], feedback[i] = q, x, b
+            history.played = t
+            try:
+                snap = alg.snapshot()
+            except ValidationError as exc:
+                raise ProtocolError("algorithm", t, str(exc))
+            if kind == "cdf":
+                snap = snap.values
+            elif kind != "mean" and not 1 <= int(snap) <= n + 1:
+                raise ProtocolError("algorithm", t, f"index estimate {int(snap)} outside 1..{n + 1}")
+            rows[r] = snap
+            if r == block - 1 or t == horizon:
+                yield i - r, rows[: r + 1]
+
+    return _score_run(
+        config, metric, tau, alg, queries, samples, feedback, blocks(), keep_trajectory, index_stats
     )
+
+
+def _block_rows(metric: str, n: int, copies: int = 1) -> int:
+    """Rows per scoring block: about REPLAY_BLOCK_CELLS cells, a row holding copies estimates."""
+    return max(1, REPLAY_BLOCK_CELLS // ((1 if metric == "mean" else n + 2) * copies))
+
+
+def _score_block(
+    metric: str, tau: float, n: int, counts, t0: int, samples, est, want_estimates: bool
+):
+    """Errors of rounds t0+1 .. t0+len(samples), and their scalar estimates.
+
+    counts holds the per-value sample counts of rounds 1..t0 and is advanced
+    in place. est holds the algorithm's estimates of the same rounds: means
+    for the mean metric, else CDF rows or a column of indices. Each round's
+    empirical CDF is its running counts over t, so every float operation is
+    the one a whole-horizon pass does, and errors do not depend on how the
+    horizon is cut into blocks. The scalar estimates (the median index for a
+    CDF) are returned when want_estimates, else None. The quantile metric
+    scores the median index of CDF rows against tau: those are the rows of
+    the median estimator inside a quantile wrapper.
+    """
+    rows = len(samples)
+    tt = np.arange(t0 + 1, t0 + rows + 1, dtype=np.float64)
+    if metric == "mean":
+        total = int(counts @ np.arange(n + 2))
+        counts += np.bincount(samples, minlength=n + 2)
+        return np.abs(est - (total + np.cumsum(samples)) / tt) / n, est
+    # block temporaries are few and accumulated in place: with many small
+    # blocks, each freed array is memory the allocator may hand back and
+    # fault in again
+    running = np.zeros((rows, n + 2), dtype=np.int64)
+    running[np.arange(rows), samples] = 1
+    running[0] += counts  # carried into every row by the cumulative sum
+    np.cumsum(running, axis=0, out=running)
+    counts[:] = running[-1]
+    f = np.cumsum(running, axis=1, out=running) / tt[:, None]
+    med = est if est.ndim == 1 else None  # a column of indices is its own estimate
+    if med is None and (metric != "cdf" or want_estimates):
+        med = np.argmax(est[:, 1:] > 0.5, axis=1) + 1
+    if metric == "cdf":
+        diff = np.subtract(est[:, 1:], f[:, 1:], out=f[:, 1:])
+        errs = np.abs(diff, out=diff).max(axis=1)
+    else:
+        r = np.arange(rows)
+        errs = np.maximum(0.0, np.maximum(f[r, med - 1] - tau, tau - f[r, med]))
+    return errs, med
+
+
+def _score_run(
+    config, metric, tau, alg, queries, samples, feedback, blocks, keep_trajectory, index_stats
+):
+    """(errors, squared final index errors or None, Trajectory or None) of one run.
+
+    blocks yields (lo, est) for consecutive blocks, once their samples are in
+    place: est holds the estimates of rounds lo+1 .. lo+len(est) as
+    _score_block takes them, in a buffer the next block may overwrite.
+    index_stats asks for the final CDF's index errors.
+    """
+    n, horizon = config.n, config.horizon
+    counts = np.zeros(n + 2, dtype=np.int64)
+    errs = np.empty(horizon)
+    estimates = None
+    if keep_trajectory:
+        estimates = np.empty(horizon, dtype=np.float64 if metric == "mean" else np.int64)
+    for lo, est in blocks:
+        hi = lo + len(est)
+        errs[lo:hi], block_estimates = _score_block(
+            metric, tau, n, counts, lo, samples[lo:hi], est, keep_trajectory
+        )
+        if keep_trajectory:
+            estimates[lo:hi] = block_estimates
+    final = alg.snapshot()
+    idx_sq = None
+    if index_stats:
+        diff = final.values - np.cumsum(counts) / horizon
+        idx_sq = diff * diff
+    if not keep_trajectory:
+        return errs, idx_sq, None
+    feedback = feedback.astype(np.int64, copy=False)
+    return errs, idx_sq, Trajectory(n, metric, tau, queries, samples, feedback, errs, estimates, final)
 
 
 def recompute_errors(trajectory: Trajectory) -> np.ndarray:
@@ -616,87 +668,40 @@ def _absorb_run(partial: dict, errs: np.ndarray, epsilon, burn_in: int, idx_sq=N
         partial["idx_sumsq"] += idx_sq * idx_sq
 
 
-def _score_block(
-    metric: str, tau: float, n: int, counts, t0: int, samples, est, want_estimates: bool
-):
-    """Errors of rounds t0+1 .. t0+len(samples), and their scalar estimates.
-
-    counts holds the per-value sample counts of rounds 1..t0 and is advanced
-    in place. est holds the algorithm's estimates of the same rounds: CDF rows
-    for the cdf and median metrics, means for the mean metric. Each round's
-    empirical CDF is its running counts over t, so every float operation is
-    the one a whole-horizon replay does, and errors do not depend on how the
-    horizon is cut into blocks. The scalar estimates (the median index for a
-    CDF) are returned when want_estimates, else None. The quantile metric
-    scores the median index of the CDF rows against tau: those are the rows
-    of the median estimator inside a quantile wrapper.
-    """
-    rows = len(samples)
-    tt = np.arange(t0 + 1, t0 + rows + 1, dtype=np.float64)
-    if metric == "mean":
-        total = int(counts @ np.arange(n + 2))
-        counts += np.bincount(samples, minlength=n + 2)
-        return np.abs(est - (total + np.cumsum(samples)) / tt) / n, est
-    # block temporaries are few and accumulated in place: with many small
-    # blocks, each freed array is memory the allocator may hand back and
-    # fault in again
-    running = np.zeros((rows, n + 2), dtype=np.int64)
-    running[np.arange(rows), samples] = 1
-    running[0] += counts  # carried into every row by the cumulative sum
-    np.cumsum(running, axis=0, out=running)
-    counts[:] = running[-1]
-    f = np.cumsum(running, axis=1, out=running) / tt[:, None]
-    med = np.argmax(est[:, 1:] > 0.5, axis=1) + 1 if metric != "cdf" or want_estimates else None
-    if metric == "cdf":
-        diff = np.subtract(est[:, 1:], f[:, 1:], out=f[:, 1:])
-        errs = np.abs(diff, out=diff).max(axis=1)
-    else:
-        r = np.arange(rows)
-        errs = np.maximum(0.0, np.maximum(f[r, med - 1] - tau, tau - f[r, med]))
-    return errs, med
+def _first_outside(values: np.ndarray, top: int) -> int:
+    """Index of the first entry outside 1..top, or len(values) if there is none."""
+    bad = np.flatnonzero((values < 1) | (values > top))
+    return int(bad[0]) if bad.size else len(values)
 
 
 def _replay(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool, index_stats: bool):
-    """(errors, squared final index errors or None, Trajectory or None) of one replayed run.
+    """_play's result for a run whose sides have batch methods, computed as arrays.
 
     The run's queries, samples and feedback are drawn for the whole horizon
-    (O(T)); estimates and scores go block by block, so no T x (n+2) array is
-    ever built. Every metric but mean scores CDF rows. A block holds about
-    REPLAY_BLOCK_CELLS cells of estimates, and an algorithm whose
-    estimate_batch computes batch_copies estimates per row (the confidence
-    booster) gets that many times fewer rows.
+    (O(T)). The adversary sees the queries before the first one out of range,
+    and the earliest round with a query or sample out of range raises the
+    round loop's ProtocolError. Estimates then come block by block, so no
+    T x (n+2) array is built; an algorithm whose estimate_batch computes
+    batch_copies estimates per row (the booster) gets that many times fewer.
     """
     n, horizon = config.n, config.horizon
-    cdf_rows = metric != "mean"
     queries = alg.query_batch(alg_rng, horizon)
-    samples = adversary.sample_batch(queries)
+    q_end = _first_outside(queries, n)
+    samples = adversary.sample_batch(queries[:q_end])
+    x_end = _first_outside(samples, n + 1)
+    if x_end < len(samples):
+        raise ProtocolError("adversary", x_end + 1, f"sample {samples[x_end]} outside 1..{n + 1}")
+    if q_end < horizon:
+        raise ProtocolError("algorithm", q_end + 1, f"query {queries[q_end]} outside 1..{n}")
     feedback = samples <= queries
-    counts = np.zeros(n + 2, dtype=np.int64)
-    errs = np.empty(horizon)
-    estimates = None
-    if keep_trajectory:
-        estimates = np.empty(horizon, dtype=np.float64 if metric == "mean" else np.int64)
-    width = (n + 2 if cdf_rows else 1) * getattr(alg, "batch_copies", 1)
-    block = max(1, REPLAY_BLOCK_CELLS // width)
-    for lo in range(0, horizon, block):
-        hi = min(lo + block, horizon)
-        est = alg.estimate_batch(queries[lo:hi], feedback[lo:hi])
-        errs[lo:hi], block_estimates = _score_block(
-            metric, tau, n, counts, lo, samples[lo:hi], est, keep_trajectory
-        )
-        if keep_trajectory:
-            estimates[lo:hi] = block_estimates
-    final = alg.snapshot()
-    idx_sq = None
-    if index_stats:
-        diff = final.values - np.cumsum(counts) / horizon
-        idx_sq = diff * diff
-    trajectory = None
-    if keep_trajectory:
-        trajectory = Trajectory(
-            n, metric, tau, queries, samples, feedback.astype(np.int64), errs, estimates, final
-        )
-    return errs, idx_sq, trajectory
+    block = _block_rows(metric, n, getattr(alg, "batch_copies", 1))
+    blocks = (
+        (lo, alg.estimate_batch(queries[lo : lo + block], feedback[lo : lo + block]))
+        for lo in range(0, horizon, block)
+    )
+    return _score_run(
+        config, metric, tau, alg, queries, samples, feedback, blocks, keep_trajectory, index_stats
+    )
 
 
 def _chunk_worker(args) -> dict:
@@ -704,37 +709,30 @@ def _chunk_worker(args) -> dict:
 
     A run is replayed when the algorithm is cdf-, mean- or quantile-kind,
     the built algorithm has query_batch/estimate_batch and the built
-    adversary has sample_batch. A quantile-kind estimate_batch returns CDF
-    rows whose median index is the estimate, as the quantile wrapper's does.
-    The replay does the same float operations on the same values as the
-    round loop, so errors, estimates and trajectories are bit-identical.
+    adversary has sample_batch, else it is played round by round. A
+    quantile-kind estimate_batch returns CDF rows whose median index is the
+    estimate, as the quantile wrapper's does. Both engines score with
+    _score_run on the same values, so errors, estimates and trajectories
+    are bit-identical.
     """
     config, lo, hi, epsilon, keep_trajectories = args
     metric, tau = resolve_metric(config)
-    n, horizon = config.n, config.horizon
     kind = algorithm_kind(config.algorithm)
     index_stats = kind == "cdf"
-    partial = _new_partial(horizon, n, epsilon, index_stats)
+    partial = _new_partial(config.horizon, config.n, epsilon, index_stats)
     if keep_trajectories:
         partial["trajectories"] = []
     for run in range(lo, hi):
         alg, adversary, alg_rng = _build_sides(config, run)
-        if (
+        replayable = (
             kind in ("cdf", "mean", "quantile")
             and hasattr(alg, "query_batch")
             and hasattr(alg, "estimate_batch")
             and hasattr(adversary, "sample_batch")
-        ):
-            errs, idx_sq, trajectory = _replay(
-                config, metric, tau, alg, adversary, alg_rng, keep_trajectories, index_stats
-            )
-        else:
-            trajectory = _play(config, metric, tau, alg, adversary, alg_rng)
-            errs = trajectory.errors
-            idx_sq = None
-            if index_stats:
-                diff = trajectory.final_snapshot.values - trajectory.empirical().floats()
-                idx_sq = diff * diff
+        )
+        errs, idx_sq, trajectory = (_replay if replayable else _play)(
+            config, metric, tau, alg, adversary, alg_rng, keep_trajectories, index_stats
+        )
         if keep_trajectories:
             partial["trajectories"].append((run, trajectory))
         _absorb_run(partial, errs, epsilon, config.burn_in, idx_sq)

@@ -204,8 +204,9 @@ def mean_error(mu_hat: float, mu: float, n: int) -> float:
     return abs(mu_hat - mu) / n
 
 
-# Float kernels shared by the game loop and post-hoc recomputation, so a
-# recomputed error series matches the recorded one bit for bit.
+# Float kernels of the metrics, one round at a time. The arena scores whole
+# blocks of rounds (arena._score_block); ks_distance, recompute_errors and
+# the tests use these kernels as references independent of that code.
 
 def _ks_floats(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a[1:] - b[1:])))

@@ -25,8 +25,10 @@ from threshold_arena import (
     validate_config,
     write_trajectory_csv,
 )
+from threshold_arena import CdfEst, StochasticCdf, empirical_cdf, ks_distance, median_from_cdf
 from threshold_arena.adversaries import Adversary
 from threshold_arena.arena import ROLE_ADVERSARY, ROLE_ALGORITHM, CHUNK_RUNS
+from threshold_arena.estimators import MidpointBaseline
 
 
 def test_derive_rng_lanes_are_independent_and_stable():
@@ -232,6 +234,138 @@ def test_out_of_range_estimate_blames_algorithm():
     config = GameConfig(n=4, horizon=2, algorithm="rogue-estimate", adversary="uniform", seed=1)
     with pytest.raises(ProtocolError, match="outside"):
         run_game(config)
+
+
+class _QueryOutOfRange(CdfEst):
+    """cdfest whose query in round `bad` is 0, live and in query_batch alike."""
+
+    def __init__(self, n, bad):
+        super().__init__(n)
+        self.bad = bad
+
+    def _query(self, rng):
+        q = super()._query(rng)
+        return 0 if self.t + 1 == self.bad else q
+
+    def query_batch(self, rng, horizon):
+        queries = super().query_batch(rng, horizon)
+        queries[self.bad - 1 : self.bad] = 0
+        return queries
+
+
+class _SampleOutOfRange(Adversary):
+    """Samples 1, except n+5 in round `bad`, live and in sample_batch alike."""
+
+    def __init__(self, n, bad):
+        self.n, self.bad = n, bad
+
+    def next_sample(self, history):
+        return self.n + 5 if len(history) + 1 == self.bad else 1
+
+    def sample_batch(self, queries):
+        samples = np.ones(len(queries), dtype=np.int64)
+        samples[self.bad - 1 : self.bad] = self.n + 5
+        return samples
+
+
+@pytest.mark.parametrize(
+    "query_round,sample_round,message",
+    [
+        (None, 3, "adversary at round 3: sample 9 outside 1..5"),
+        (5, None, "algorithm at round 5: query 0 outside 1..4"),
+        (5, 3, "adversary at round 3: sample 9 outside 1..5"),
+        (3, 5, "algorithm at round 3: query 0 outside 1..4"),
+        (4, 4, "algorithm at round 4: query 0 outside 1..4"),  # a round's query is checked first
+    ],
+)
+def test_engines_reject_out_of_range_batches_alike(query_round, sample_round, message, monkeypatch):
+    import threshold_arena.arena as arena_mod
+    from threshold_arena import register_adversary, register_algorithm
+
+    register_algorithm("bad-query", lambda p, n, h, rng: _QueryOutOfRange(n, p["round"]), "cdf")
+    register_adversary("bad-sample", lambda p, n, h, rng: _SampleOutOfRange(n, p["round"]))
+    algorithm = AlgorithmSpec("bad-query", {"round": query_round}) if query_round else "cdfest"
+    adversary = AdversarySpec("bad-sample", {"round": sample_round}) if sample_round else "uniform"
+    config = GameConfig(n=4, horizon=8, algorithm=algorithm, adversary=adversary, seed=1)
+
+    def rejection(call):
+        with pytest.raises(ProtocolError) as caught:
+            call()
+        return str(caught.value)
+
+    assert rejection(lambda: run_game(config)) == message
+    monkeypatch.setattr(arena_mod, "_play", None)  # Monte Carlo must meet the batches
+    assert rejection(lambda: monte_carlo(config, 4)) == message
+    assert rejection(lambda: monte_carlo(config, 4, sink=lambda run_id, tr: None)) == message
+
+
+class _IndexOutOfRange(MidpointBaseline):
+    """Midpoint whose index estimate leaves 1..n+1 after round 7; counts its queries."""
+
+    queried: list = []
+
+    def _query(self, rng):
+        _IndexOutOfRange.queried.append(self.t + 1)
+        return super()._query(rng)
+
+    def snapshot(self):
+        return self.n + 2 if self.t == 7 else super().snapshot()
+
+
+class _MedianNotReady(MidpointBaseline):
+    def snapshot(self):
+        if self.t == 5:
+            raise ValidationError("estimate not ready")
+        return super().snapshot()
+
+
+class _CdfNotReady(StochasticCdf):
+    def snapshot(self):
+        if self.t == 5:
+            raise ValidationError("estimate not ready")
+        return super().snapshot()
+
+
+@pytest.mark.parametrize(
+    "cls,kind,message",
+    [
+        (_IndexOutOfRange, "median", "algorithm at round 7: index estimate 18 outside 1..17"),
+        (_MedianNotReady, "median", "algorithm at round 5: estimate not ready"),
+        (_CdfNotReady, "cdf", "algorithm at round 5: estimate not ready"),
+    ],
+)
+def test_round_loop_reports_a_bad_estimate_at_its_round(cls, kind, message):
+    from threshold_arena import register_algorithm
+
+    # n=16: rounds 5 and 7 lie inside the first scoring block (910 rows)
+    register_algorithm("bad-estimate", lambda p, n, h, rng: cls(n), kind)
+    config = GameConfig(n=16, horizon=50, algorithm="bad-estimate", adversary="uniform", seed=1)
+    for call in (lambda: run_game(config), lambda: monte_carlo(config, 2)):
+        _IndexOutOfRange.queried = []
+        with pytest.raises(ProtocolError) as caught:
+            call()
+        assert str(caught.value) == message
+        assert caught.value.offender == "algorithm"
+        if cls is _IndexOutOfRange:
+            assert _IndexOutOfRange.queried == list(range(1, 8))  # no eighth round was played
+
+
+@pytest.mark.parametrize("name", ["cdfest", "stochastic-cdf"])
+def test_cdf_errors_match_an_independent_reference(name):
+    # the per-round kernels of core, not the block scorer: the algorithm is
+    # rebuilt from the (query, feedback) log and scored against the exact
+    # empirical CDF of each prefix; n=16, T=3000 spans four scoring blocks
+    n, horizon = 16, 3000
+    config = GameConfig(n=n, horizon=horizon, algorithm=name, adversary="mirror", seed=29)
+    tr = run_game(config)
+    alg = CdfEst(n) if name == "cdfest" else StochasticCdf(n)
+    samples = tr.samples.tolist()
+    for t, (q, b) in enumerate(zip(tr.queries.tolist(), tr.feedback.tolist()), start=1):
+        alg.ingest(q, b)
+        snap = alg.snapshot()
+        assert ks_distance(snap, empirical_cdf(samples[:t], n)) == tr.errors[t - 1], t
+        assert median_from_cdf(snap) == tr.estimates[t - 1], t
+    assert np.array_equal(alg.snapshot().values, tr.final_snapshot.values)
 
 
 def test_protocol_causality_replay():
@@ -731,6 +865,40 @@ def test_blocked_replay_equals_round_loop(algorithm, metric, adversary, n, horiz
     late[:, : config.burn_in] = True
     assert np.array_equal(summary.anytime_rate, np.logical_and.accumulate(late, axis=1).sum(axis=0) / runs)
     assert summary.success_anytime == summary.anytime_rate[-1]
+
+
+@pytest.mark.parametrize("cells", [1, 40])
+@pytest.mark.parametrize(
+    "algorithm,metric",
+    [
+        ("cdfest", "cdf"),
+        ("halving", "median"),
+        (AlgorithmSpec("quantile", {"tau": 0.75, "inner": "stochastic-cdf"}), "quantile"),
+        ("meanest", "mean"),
+    ],
+    ids=["cdf", "halving", "quantile-stochastic-cdf", "mean"],
+)
+def test_round_loop_blocks_do_not_change_the_game(algorithm, metric, cells, monkeypatch):
+    import threshold_arena.arena as arena_mod
+
+    # 40 cells at n=16 make blocks of 2 rows (40 for the mean), 1 cell blocks of 1 row
+    config = GameConfig(
+        n=16, horizon=101, algorithm=algorithm, adversary="mirror", metric=metric, seed=37
+    )
+    whole = run_game(config, run_id=1)
+    summary = monte_carlo(config, 3, epsilon=0.2)
+    monkeypatch.setattr(arena_mod, "REPLAY_BLOCK_CELLS", cells)
+    blocked = run_game(config, run_id=1)
+    for column in ("queries", "samples", "feedback", "errors", "estimates"):
+        a, b = getattr(blocked, column), getattr(whole, column)
+        assert a.dtype == b.dtype and np.array_equal(a, b), column
+    if metric == "cdf":
+        assert np.array_equal(blocked.final_snapshot.values, whole.final_snapshot.values)
+    else:
+        assert blocked.final_snapshot == whole.final_snapshot
+    again = monte_carlo(config, 3, epsilon=0.2)
+    for field in ("mean_error", "mse", "success_rate", "anytime_rate", "final_errors", "index_mse"):
+        assert np.array_equal(getattr(again, field), getattr(summary, field)), field
 
 
 def test_replay_memory_is_bounded_in_time_blocks():
