@@ -714,14 +714,19 @@ def _chunk_worker(args) -> dict:
     estimate, as the quantile wrapper's does. Both engines score with
     _score_run on the same values, so errors, estimates and trajectories
     are bit-identical.
+
+    export says what the chunk ships besides its sums: nothing (False), its
+    (run_id, Trajectory) pairs under "trajectories" (True, for a sink), or
+    its runs' CSV lines as one string under "csv" ("csv", or "csv+samples"
+    with the sample column), formatted here by trajectory_csv_text so the
+    parent only writes text.
     """
-    config, lo, hi, epsilon, keep_trajectories = args
+    config, lo, hi, epsilon, export = args
     metric, tau = resolve_metric(config)
     kind = algorithm_kind(config.algorithm)
     index_stats = kind == "cdf"
     partial = _new_partial(config.horizon, config.n, epsilon, index_stats)
-    if keep_trajectories:
-        partial["trajectories"] = []
+    shipped = []
     for run in range(lo, hi):
         alg, adversary, alg_rng = _build_sides(config, run)
         replayable = (
@@ -731,11 +736,17 @@ def _chunk_worker(args) -> dict:
             and hasattr(adversary, "sample_batch")
         )
         errs, idx_sq, trajectory = (_replay if replayable else _play)(
-            config, metric, tau, alg, adversary, alg_rng, keep_trajectories, index_stats
+            config, metric, tau, alg, adversary, alg_rng, bool(export), index_stats
         )
-        if keep_trajectories:
-            partial["trajectories"].append((run, trajectory))
+        if export is True:
+            shipped.append((run, trajectory))
+        elif export:
+            shipped.append(trajectory_csv_text(run, trajectory, export == "csv+samples"))
         _absorb_run(partial, errs, epsilon, config.burn_in, idx_sq)
+    if export is True:
+        partial["trajectories"] = shipped
+    elif export:
+        partial["csv"] = "".join(shipped)
     return partial
 
 
@@ -747,6 +758,7 @@ def monte_carlo(
     sink: Callable[[int, Trajectory], None] | None = None,
     *,
     _pool: ProcessPoolExecutor | None = None,
+    _csv: tuple[bool, Callable[[str], None]] | None = None,
 ) -> MonteCarloSummary:
     """Aggregate `runs` independent seeded games of one config.
 
@@ -759,13 +771,23 @@ def monte_carlo(
     A replayed run needs O(T) memory for its columns plus a fixed block of
     estimate cells, not O(T*n). _pool lends an open pool to use in place of
     a new one (estimate_query_complexity holds one for all its probes).
+
+    _csv=(reveal_samples, write) is the CLI's export, in place of a sink:
+    each chunk's worker formats its runs' CSV lines (trajectory_csv_text)
+    and ships them as one string, and write receives those strings in run
+    order, so the parent holds chunk text, never trajectories.
     """
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
+    if sink is not None and _csv is not None:
+        raise ValidationError("monte_carlo takes a sink or CSV export, not both")
     metric, tau = resolve_metric(config)
     index_stats = algorithm_kind(config.algorithm) == "cdf"
+    export = sink is not None
+    if _csv is not None:
+        export = "csv+samples" if _csv[0] else "csv"
     jobs = [
-        (config, lo, min(lo + CHUNK_RUNS, runs), epsilon, sink is not None)
+        (config, lo, min(lo + CHUNK_RUNS, runs), epsilon, export)
         for lo in range(0, runs, CHUNK_RUNS)
     ]
     partials = []
@@ -776,6 +798,8 @@ def monte_carlo(
         for part in (pool.map if pool else map)(_chunk_worker, jobs):
             for run_id, trajectory in part.pop("trajectories", ()):
                 sink(run_id, trajectory)
+            if _csv is not None:
+                _csv[1](part.pop("csv"))
             partials.append(part)
 
     horizon, n = config.horizon, config.n
@@ -841,6 +865,8 @@ def estimate_query_complexity(
     runs: int = 400,
     t_cap: int = 1 << 20,
     workers: int = 1,
+    *,
+    _pool: ProcessPoolExecutor | None = None,
 ) -> ComplexityEstimate:
     """Smallest horizon at which the config wins with the target probability.
 
@@ -854,7 +880,9 @@ def estimate_query_complexity(
     register_algorithm), so one Monte Carlo at horizon H gives the success
     rate at every h <= H. A probe runs only when h exceeds the longest probe
     so far; the bisection reads its rates off that probe's per-round
-    counts. All probes share one process pool when workers > 1.
+    counts. All probes share one process pool when workers > 1: _pool lends
+    an open one (the CLI sweep holds one for all its cells), else the search
+    opens its own.
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValidationError(f"epsilon must lie in (0, 1/2], got {epsilon}")
@@ -873,7 +901,10 @@ def estimate_query_complexity(
             rates[horizon] = float(per_round[horizon - 1])
         return rates[horizon]
 
-    shared = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    if workers > 1 and _pool is None:
+        shared = ProcessPoolExecutor(max_workers=workers)
+    else:
+        shared = contextlib.nullcontext(_pool)
     with shared as pool:
         horizon = 1 << config.burn_in.bit_length()  # smallest power of two > burn_in
         while horizon <= t_cap:
@@ -908,21 +939,30 @@ def trajectory_csv_header(reveal_samples: bool = False) -> str:
 def trajectory_csv_text(run_id, trajectory: Trajectory, reveal_samples: bool = False) -> str:
     """All CSV lines of one trajectory as one string; hidden samples only on request.
 
-    Each column becomes Python scalars once, and errors print as
+    The lines are one list of five pieces per row, filled column by column
+    by slice assignment: the run prefix, t, the ",query,feedback," pair, the
+    error and the line end (",sample" if shown, then the newline). Pairs and
+    samples are formatted once per distinct value, and errors print as
     repr(float), so the text does not depend on the numpy version.
     """
-    columns = [
-        range(1, trajectory.horizon + 1),
-        trajectory.queries.tolist(),
-        trajectory.feedback.tolist(),
-        trajectory.errors.tolist(),
-    ]
-    line = f"{run_id},".replace("%", "%%") + "%d,%d,%d,%r"
+    horizon = trajectory.horizon
+    pieces = [f"{run_id},"] * (5 * horizon)
+    pieces[1::5] = map(str, range(1, horizon + 1))
+    pairs = 2 * trajectory.queries + trajectory.feedback
+    pieces[2::5] = _format_distinct(pairs, lambda c: f",{c >> 1},{c & 1},")
+    pieces[3::5] = map(repr, trajectory.errors.tolist())
     if reveal_samples:
-        columns.append(trajectory.samples.tolist())
-        line += ",%d"
-    line += "\n"
-    return "".join([line % values for values in zip(*columns)])
+        pieces[4::5] = _format_distinct(trajectory.samples, ",{}\n".format)
+    else:
+        pieces[4::5] = ["\n"] * horizon
+    return "".join(pieces)
+
+
+def _format_distinct(values: np.ndarray, fmt: Callable[[int], str]):
+    """fmt(v) for each entry v of an integer array, calling fmt once per distinct value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    table = [fmt(v) for v in distinct.tolist()]
+    return map(table.__getitem__, inverse.tolist())
 
 
 def write_trajectory_csv(path, trajectories, reveal_samples: bool = False) -> None:

@@ -19,10 +19,13 @@ Exit codes: 0 success, 1 a reported check failed, 2 invalid specification,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .core import ArenaError, ProtocolError, ValidationError
@@ -183,14 +186,13 @@ def _require(value, name: str):
 
 
 def _monte_carlo_to_csv(config, runs, eps, workers, csv_path, reveal: bool):
-    """monte_carlo whose sink appends each trajectory's rows to csv_path."""
+    """monte_carlo whose chunk workers format their runs' CSV lines; the
+    parent appends each chunk's text to csv_path in run order."""
     with open(csv_path, "w") as fh:
         fh.write(arena.trajectory_csv_header(reveal) + "\n")
-
-        def sink(run_id, trajectory):
-            fh.write(arena.trajectory_csv_text(run_id, trajectory, reveal))
-
-        return arena.monte_carlo(config, runs, epsilon=eps, workers=workers, sink=sink)
+        return arena.monte_carlo(
+            config, runs, epsilon=eps, workers=workers, _csv=(reveal, fh.write)
+        )
 
 
 def cmd_run(args) -> int:
@@ -249,14 +251,16 @@ def cmd_complexity(args) -> int:
     adv_spec = _spec(adv)
 
     cells = []
-    for n in ns:
-        for eps in epss:
+    # one pool for every cell's probes
+    shared = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    with shared as pool:
+        for n, eps in itertools.product(ns, epss):
             config = arena.GameConfig(
                 n=n, horizon=1, algorithm=algo_spec, adversary=adv_spec, metric=metric, seed=seed
             )
             arena.validate_config(config)
             est = arena.estimate_query_complexity(
-                config, eps, target=target, runs=runs, t_cap=t_cap, workers=workers
+                config, eps, target=target, runs=runs, t_cap=t_cap, workers=workers, _pool=pool
             )
             cells.append(
                 {

@@ -37,8 +37,13 @@ class ProtocolError(ArenaError, RuntimeError):
     def __init__(self, offender: str, round_index: int | None, message: str):
         self.offender = offender
         self.round_index = round_index
+        self.message = message
         where = f" at round {round_index}" if round_index is not None else ""
         super().__init__(f"{offender}{where}: {message}")
+
+    def __reduce__(self):
+        # rebuilt from its parts, so it crosses a process pool intact
+        return type(self), (self.offender, self.round_index, self.message)
 
 
 class NondeterminismError(ProtocolError):

@@ -1,10 +1,22 @@
+import contextlib
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from threshold_arena import AdversarySpec, GameConfig, run_game, write_trajectory_csv
-from threshold_arena.adversaries import save_sample_sequence
+import threshold_arena.arena as arena_mod
+import threshold_arena.cli as cli_mod
+from threshold_arena import (
+    AdversarySpec,
+    GameConfig,
+    Trajectory,
+    register_adversary,
+    run_game,
+    write_trajectory_csv,
+)
+from threshold_arena.adversaries import Adversary, save_sample_sequence
+from threshold_arena.arena import trajectory_csv_header, trajectory_csv_text
 from threshold_arena.cli import main, parse_component
 
 
@@ -186,3 +198,116 @@ class TestComplexity:
         (cell,) = table["cells"]
         assert cell["resolved"] and 1 <= cell["t_hat"] <= cell["reference_mean_budget"] == 16
         assert cell["reference_cdf_budget"] == int(np.ceil(3 * 16 * np.log(128) / 0.25**2))
+
+
+def reference_csv_text(run_id, trajectory, reveal_samples=False):
+    """The CSV formatter as it was before the sliced one: one % format per row."""
+    columns = [
+        range(1, trajectory.horizon + 1),
+        trajectory.queries.tolist(),
+        trajectory.feedback.tolist(),
+        trajectory.errors.tolist(),
+    ]
+    line = f"{run_id},".replace("%", "%%") + "%d,%d,%d,%r"
+    if reveal_samples:
+        columns.append(trajectory.samples.tolist())
+        line += ",%d"
+    line += "\n"
+    return "".join([line % values for values in zip(*columns)])
+
+
+def assert_same_text(produced, expected):
+    """produced == expected, reporting the first line that differs (pytest's own
+    diff of two long texts can take minutes)."""
+    if produced != expected:
+        a, b = produced.splitlines(), expected.splitlines()
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"line {i + 1}: {a[i : i + 1]} != {b[i : i + 1]}; {len(a)} and {len(b)} lines")
+
+
+def _columns(n, queries, samples, errors):
+    queries, samples = np.asarray(queries, dtype=np.int64), np.asarray(samples, dtype=np.int64)
+    feedback = (samples <= queries).astype(np.int64)
+    errors = np.asarray(errors, dtype=np.float64)
+    return Trajectory(n, "cdf", 0.5, queries, samples, feedback, errors, np.ones_like(queries))
+
+
+_FORMATTER_CASES = {
+    "one-round": _columns(4, [2], [3], [0.25]),
+    "n=1": _columns(1, [1] * 6, [1, 2, 2, 1, 2, 1], np.linspace(0, 0.5, 6)),
+    "n=1024-edges": _columns(1024, [1024, 1, 1024, 512], [1025, 1, 1024, 1025], [0.5, 0.25, 0.125, 1.0]),
+    "special-errors": _columns(4, [1, 2, 3, 4], [5, 1, 3, 4], [0.0, 1.0, 5e-324, 0.1 + 0.2]),
+    "game": run_game(GameConfig(n=16, horizon=3000, algorithm="cdfest", adversary="uniform", seed=4)),
+}
+
+
+@pytest.mark.parametrize("reveal", [False, True])
+@pytest.mark.parametrize("run_id", [0, 31, "a%d%%b"])
+@pytest.mark.parametrize("case", sorted(_FORMATTER_CASES))
+def test_csv_text_matches_the_percent_format_reference(case, run_id, reveal):
+    trajectory = _FORMATTER_CASES[case]
+    text = trajectory_csv_text(run_id, trajectory, reveal)
+    assert_same_text(text, reference_csv_text(run_id, trajectory, reveal))
+    assert text.count("\n") == trajectory.horizon
+
+
+@pytest.mark.parametrize("algo", ["cdfest", "stochastic-cdf", "halving"])
+@pytest.mark.parametrize("reveal", [False, True])
+@pytest.mark.parametrize("runs", [1, 33])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_csv_bytes_equal_the_reference_export(tmp_path, algo, reveal, runs, workers):
+    # the chunk workers format the CSV (cdfest replays as arrays, the others
+    # play the round loop); 33 runs leave a one-run last chunk
+    config = GameConfig(n=8, horizon=40, algorithm=algo, adversary="uniform", seed=9)
+    argv = ["run", "--algo", algo, "--adv", "uniform", "--n", "8", "--T", "40", "--runs", str(runs),
+            "--seed", "9", "--workers", str(workers), "--out-dir", str(tmp_path)]
+    assert main(argv + (["--reveal-samples"] if reveal else [])) == 0
+    expected = trajectory_csv_header(reveal) + "\n"
+    expected += "".join(reference_csv_text(r, run_game(config, r), reveal) for r in range(runs))
+    assert_same_text((tmp_path / "trajectory.csv").read_bytes().decode(), expected)
+
+
+class _LateBadSample(Adversary):
+    """Samples 1, except n+5 in round 3, live and in sample_batch alike."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def next_sample(self, history):
+        return self.n + 5 if len(history) == 2 else 1
+
+    def sample_batch(self, queries):
+        samples = np.ones(len(queries), dtype=np.int64)
+        samples[2:3] = self.n + 5
+        return samples
+
+
+@pytest.mark.parametrize("algo", ["cdfest", "halving"])
+def test_protocol_error_in_a_pool_worker_exits_3(tmp_path, capsys, algo):
+    register_adversary("late-bad-sample", lambda p, n, h, rng: _LateBadSample(n))
+    argv = ["run", "--algo", algo, "--adv", "late-bad-sample", "--n", "4", "--T", "8",
+            "--runs", "33", "--workers", "2", "--out-dir", str(tmp_path)]
+    assert main(argv) == 3
+    assert "adversary at round 3: sample 9 outside 1..5" in capsys.readouterr().err
+
+
+def test_complexity_sweep_holds_one_pool(tmp_path, monkeypatch):
+    made = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(arena_mod, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", CountedPool)
+    argv = ["complexity", "--algo", "meanest", "--adv", "uniform", "--n", "8,16",
+            "--eps", "0.5,0.25", "--runs", "200", "--seed", "3", "--workers", "2"]
+    assert main(argv + ["--out-dir", str(tmp_path / "shared")]) == 0
+    assert len(made) == 1
+    # without the sweep's pool, every cell's search opens its own
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", lambda max_workers: contextlib.nullcontext())
+    assert main(argv + ["--out-dir", str(tmp_path / "per-cell")]) == 0
+    assert len(made) == 1 + 4
+    shared, per_cell = (tmp_path / name / "complexity.json" for name in ("shared", "per-cell"))
+    assert shared.read_bytes() == per_cell.read_bytes()
