@@ -338,15 +338,13 @@ class MedianLbAdversary(Adversary):
         self.config = config
         self.n = config.n
         self.j = config.offsets()[int(rng.integers(config.k))]
-        self._cum = np.cumsum([float(p) for p in median_lb_pmf(config)])
-        self._cum[-1] = 1.0
-        self._rng = rng
+        self._first_phase = StochasticAdversary(median_lb_pmf(config), rng)
 
     def next_sample(self, history: Sequence[RoundRecord]) -> int:
         t = len(history) + 1
         half = self.config.horizon // 2
         if t <= half:
-            return int(np.searchsorted(self._cum, self._rng.random(), side="right")) + 1
+            return self._first_phase.next_sample(history)
         if t <= half + self.j * self.config.m:
             return self.n
         return 1
@@ -357,7 +355,7 @@ class MedianLbAdversary(Adversary):
         phase1 = min(rounds, half)
         block_end = min(rounds, half + self.j * self.config.m)
         samples = np.ones(rounds, dtype=np.int64)
-        samples[:phase1] = np.searchsorted(self._cum, self._rng.random(phase1), side="right") + 1
+        samples[:phase1] = self._first_phase.sample_batch(queries[:phase1])
         samples[phase1:block_end] = self.n
         return samples
 

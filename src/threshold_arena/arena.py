@@ -715,18 +715,17 @@ def _chunk_worker(args) -> dict:
     _score_run on the same values, so errors, estimates and trajectories
     are bit-identical.
 
-    export says what the chunk ships besides its sums: nothing (False), its
-    (run_id, Trajectory) pairs under "trajectories" (True, for a sink), or
-    its runs' CSV lines as one string under "csv" ("csv", or "csv+samples"
-    with the sample column), formatted here by trajectory_csv_text so the
-    parent only writes text.
+    export is falsy, or a picklable function of (run_id, Trajectory): the
+    chunk then keeps each run's trajectory and ships export's results in run
+    order under "exported" (the CLI's exporter formats the run's CSV text
+    here, so only text crosses the pool).
     """
     config, lo, hi, epsilon, export = args
     metric, tau = resolve_metric(config)
     kind = algorithm_kind(config.algorithm)
     index_stats = kind == "cdf"
     partial = _new_partial(config.horizon, config.n, epsilon, index_stats)
-    shipped = []
+    exported = []
     for run in range(lo, hi):
         alg, adversary, alg_rng = _build_sides(config, run)
         replayable = (
@@ -738,16 +737,17 @@ def _chunk_worker(args) -> dict:
         errs, idx_sq, trajectory = (_replay if replayable else _play)(
             config, metric, tau, alg, adversary, alg_rng, bool(export), index_stats
         )
-        if export is True:
-            shipped.append((run, trajectory))
-        elif export:
-            shipped.append(trajectory_csv_text(run, trajectory, export == "csv+samples"))
+        if export:
+            exported.append(export(run, trajectory))
         _absorb_run(partial, errs, epsilon, config.burn_in, idx_sq)
-    if export is True:
-        partial["trajectories"] = shipped
-    elif export:
-        partial["csv"] = "".join(shipped)
+    if export:
+        partial["exported"] = exported
     return partial
+
+
+def _run_and_trajectory(run_id: int, trajectory: Trajectory) -> tuple[int, Trajectory]:
+    """The exporter behind monte_carlo's sink: ships each run's trajectory as it is."""
+    return run_id, trajectory
 
 
 def monte_carlo(
@@ -758,7 +758,7 @@ def monte_carlo(
     sink: Callable[[int, Trajectory], None] | None = None,
     *,
     _pool: ProcessPoolExecutor | None = None,
-    _csv: tuple[bool, Callable[[str], None]] | None = None,
+    _export: tuple[Callable[[int, Trajectory], Any], Callable[[Any], None]] | None = None,
 ) -> MonteCarloSummary:
     """Aggregate `runs` independent seeded games of one config.
 
@@ -772,20 +772,21 @@ def monte_carlo(
     estimate cells, not O(T*n). _pool lends an open pool to use in place of
     a new one (estimate_query_complexity holds one for all its probes).
 
-    _csv=(reveal_samples, write) is the CLI's export, in place of a sink:
-    each chunk's worker formats its runs' CSV lines (trajectory_csv_text)
-    and ships them as one string, and write receives those strings in run
-    order, so the parent holds chunk text, never trajectories.
+    _export=(export, receive) is the export channel a sink is built on:
+    export, a picklable function, runs in the chunk's worker on every
+    (run_id, Trajectory), and receive gets its results in run order, so the
+    parent holds what export returns, never trajectories (the CLI formats
+    CSV text in the workers this way).
     """
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
-    if sink is not None and _csv is not None:
-        raise ValidationError("monte_carlo takes a sink or CSV export, not both")
+    if sink is not None:
+        if _export is not None:
+            raise ValidationError("monte_carlo takes a sink or an export, not both")
+        _export = (_run_and_trajectory, lambda pair: sink(*pair))
     metric, tau = resolve_metric(config)
     index_stats = algorithm_kind(config.algorithm) == "cdf"
-    export = sink is not None
-    if _csv is not None:
-        export = "csv+samples" if _csv[0] else "csv"
+    export, receive = _export or (False, None)
     jobs = [
         (config, lo, min(lo + CHUNK_RUNS, runs), epsilon, export)
         for lo in range(0, runs, CHUNK_RUNS)
@@ -796,25 +797,15 @@ def monte_carlo(
         if workers > 1 and len(jobs) > 1:
             pool = _pool or stack.enter_context(ProcessPoolExecutor(max_workers=workers))
         for part in (pool.map if pool else map)(_chunk_worker, jobs):
-            for run_id, trajectory in part.pop("trajectories", ()):
-                sink(run_id, trajectory)
-            if _csv is not None:
-                _csv[1](part.pop("csv"))
+            for item in part.pop("exported", ()):
+                receive(item)
             partials.append(part)
 
-    horizon, n = config.horizon, config.n
-    combined = _new_partial(horizon, n, epsilon, index_stats)
-    finals: list[float] = []
+    combined = _new_partial(config.horizon, config.n, epsilon, index_stats)
     for part in partials:  # fixed chunk order keeps float sums reproducible
-        combined["sum_err"] += part["sum_err"]
-        combined["sum_sq"] += part["sum_sq"]
-        if epsilon is not None:
-            combined["succ"] += part["succ"]
-            combined["first_fail"] += part["first_fail"]
-        if index_stats:
-            combined["idx_sum"] += part["idx_sum"]
-            combined["idx_sumsq"] += part["idx_sumsq"]
-        finals.extend(part["finals"])
+        for key, value in part.items():
+            if value is not None:
+                combined[key] += value
 
     index_mse = index_stderr = None
     if index_stats:
@@ -835,7 +826,7 @@ def monte_carlo(
         mean_error=combined["sum_err"] / runs,
         mse=combined["sum_sq"] / runs,
         success_rate=success_rate,
-        final_errors=np.asarray(finals),
+        final_errors=np.asarray(combined["finals"]),
         success_at_horizon=float(success_rate[-1]) if epsilon is not None else None,
         success_anytime=float(anytime_rate[-1]) if epsilon is not None else None,
         anytime_rate=anytime_rate,

@@ -4,7 +4,7 @@ Subcommands:
   run         play one matchup over many seeded runs, export CSV + JSON
   complexity  sweep epsilon (and n) and estimate empirical query complexity
   breaker     build the breaker pair for a deterministic baseline and report
-  replay      re-run an algorithm against an exported sample sequence file
+  replay      run an algorithm against an exported sample sequence file
 
 Component specs are names with optional parameters, e.g. ``cdfest``,
 ``point-mass:1``, ``cdf-lb:epsilon=0.05,sigma=+``, ``quantile:tau=0.75``,
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -86,12 +87,16 @@ def _spec(value):
     return arena.ComponentSpec(name, params)
 
 
-def _resolve(args, config_file: dict, key: str, default):
-    value = getattr(args, key.replace("-", "_"), None)
+def _resolve(args, config_file: dict, *keys: str, default=None):
+    """The flag named by keys[0] if given, else the first of keys found in the
+    config file (which may spell a field as the flag, e.g. out-dir or T, or
+    as its attribute, e.g. out_dir or horizon), else default."""
+    value = getattr(args, keys[0].replace("-", "_"), None)
     if value is not None:
         return value
-    if key in config_file:
-        return config_file[key]
+    for key in keys:
+        if key in config_file:
+            return config_file[key]
     return default
 
 
@@ -127,20 +132,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="play one matchup over many seeded runs")
-    run.add_argument("--algo", help="algorithm spec, e.g. cdfest or quantile:tau=0.75")
+    # the flags run and replay share
+    game = argparse.ArgumentParser(add_help=False)
+    game.add_argument("--algo", help="algorithm spec, e.g. cdfest or quantile:tau=0.75")
+    game.add_argument("--n", type=int, help="support parameter")
+    game.add_argument("--T", type=int, dest="horizon",
+                      help="rounds per run (replay: default the file's length)")
+    game.add_argument("--runs", type=int, help="number of Monte Carlo runs")
+    game.add_argument("--metric", choices=["cdf", "median", "mean", "quantile"])
+    game.add_argument("--eps", type=float, help="success threshold for rate reporting")
+    game.add_argument("--seed", type=int, help=f"master seed (default ${SEED_ENV_VAR} or 0)")
+    game.add_argument("--out-dir", help="output directory (default arena-out)")
+    game.add_argument("--reveal-samples", action="store_true", default=None,
+                      help="include hidden samples in the trajectory CSV")
+    game.add_argument("--config", help="JSON file with any of these fields")
+
+    run = sub.add_parser("run", parents=[game], help="play one matchup over many seeded runs")
     run.add_argument("--adv", help="adversary spec, e.g. uniform or point-mass:1")
-    run.add_argument("--n", type=int, help="support parameter")
-    run.add_argument("--T", type=int, dest="horizon", help="rounds per run")
-    run.add_argument("--runs", type=int, help="number of Monte Carlo runs")
-    run.add_argument("--metric", choices=["cdf", "median", "mean", "quantile"])
-    run.add_argument("--eps", type=float, help="success threshold for rate reporting")
-    run.add_argument("--seed", type=int, help=f"master seed (default ${SEED_ENV_VAR} or 0)")
     run.add_argument("--workers", type=int, help="worker processes (default all cores)")
-    run.add_argument("--out-dir", help="output directory (default arena-out)")
-    run.add_argument("--reveal-samples", action="store_true", default=None,
-                     help="include hidden samples in the trajectory CSV")
-    run.add_argument("--config", help="JSON file with any of the above fields")
 
     comp = sub.add_parser("complexity", help="estimate empirical query complexity")
     comp.add_argument("--algo")
@@ -163,18 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
     brk.add_argument("--out-dir")
     brk.add_argument("--config")
 
-    rep = sub.add_parser("replay", help="re-run an algorithm against an exported sequence")
+    rep = sub.add_parser(
+        "replay", parents=[game], help="run an algorithm against an exported sample sequence"
+    )
     rep.add_argument("--file", help="newline-delimited sample file")
-    rep.add_argument("--algo")
-    rep.add_argument("--n", type=int)
-    rep.add_argument("--T", type=int, dest="horizon", help="rounds (default: file length)")
-    rep.add_argument("--runs", type=int)
-    rep.add_argument("--metric", choices=["cdf", "median", "mean", "quantile"])
-    rep.add_argument("--eps", type=float)
-    rep.add_argument("--seed", type=int)
-    rep.add_argument("--out-dir")
-    rep.add_argument("--reveal-samples", action="store_true", default=None)
-    rep.add_argument("--config")
 
     return parser
 
@@ -185,29 +186,33 @@ def _require(value, name: str):
     return value
 
 
-def _monte_carlo_to_csv(config, runs, eps, workers, csv_path, reveal: bool):
-    """monte_carlo whose chunk workers format their runs' CSV lines; the
-    parent appends each chunk's text to csv_path in run order."""
-    with open(csv_path, "w") as fh:
-        fh.write(arena.trajectory_csv_header(reveal) + "\n")
-        return arena.monte_carlo(
-            config, runs, epsilon=eps, workers=workers, _csv=(reveal, fh.write)
-        )
-
-
 def cmd_run(args) -> int:
+    """run, and replay: run against a sequence adversary made of --file's samples.
+
+    A replay plays on one worker, and its T defaults to the file's length.
+    The CSV is written to <name>.partial and moved over <name> only once
+    every run has succeeded, so a failed command leaves earlier outputs as
+    they were.
+    """
     file_cfg = _load_config_file(args.config)
-    algo = _require(_resolve(args, file_cfg, "algo", None), "algo")
-    adv = _require(_resolve(args, file_cfg, "adv", None), "adv")
-    n = int(_require(_resolve(args, file_cfg, "n", None), "n"))
-    horizon = int(_require(_resolve(args, file_cfg, "horizon", file_cfg.get("T")), "T"))
-    runs = int(_resolve(args, file_cfg, "runs", 1))
-    seed = int(_resolve(args, file_cfg, "seed", _default_seed()))
-    eps = _resolve(args, file_cfg, "eps", None)
-    metric = _resolve(args, file_cfg, "metric", None)
-    workers = int(_resolve(args, file_cfg, "workers", arena.default_workers()))
-    reveal = bool(_resolve(args, file_cfg, "reveal-samples", file_cfg.get("reveal_samples", False)))
-    out = _out_dir(_resolve(args, file_cfg, "out-dir", file_cfg.get("out_dir", "arena-out")))
+    replay = args.command == "replay"
+    path = _require(_resolve(args, file_cfg, "file"), "file") if replay else None
+    algo = _require(_resolve(args, file_cfg, "algo"), "algo")
+    adv = None if replay else _require(_resolve(args, file_cfg, "adv"), "adv")
+    n = int(_require(_resolve(args, file_cfg, "n"), "n"))
+    horizon = _resolve(args, file_cfg, "horizon", "T")
+    if replay:
+        samples = load_sample_sequence(path)
+        adv = arena.AdversarySpec("sequence", {"samples": samples})
+        horizon = len(samples) if horizon is None else horizon
+    horizon = int(_require(horizon, "T"))
+    runs = int(_resolve(args, file_cfg, "runs", default=1))
+    seed = int(_resolve(args, file_cfg, "seed", default=_default_seed()))
+    eps = _resolve(args, file_cfg, "eps")
+    metric = _resolve(args, file_cfg, "metric")
+    workers = 1 if replay else _resolve(args, file_cfg, "workers", default=arena.default_workers())
+    reveal = bool(_resolve(args, file_cfg, "reveal-samples", "reveal_samples", default=False))
+    out = _out_dir(_resolve(args, file_cfg, "out-dir", "out_dir", default="arena-out"))
 
     config = arena.GameConfig(
         n=n,
@@ -218,32 +223,42 @@ def cmd_run(args) -> int:
         seed=seed,
     )
     arena.validate_config(config)
-    if runs < 1:
-        raise ValidationError(f"runs must be >= 1, got {runs}")
 
-    csv_path = out / "trajectory.csv"
-    json_path = out / "summary.json"
-    summary = _monte_carlo_to_csv(config, runs, eps, workers, csv_path, reveal)
+    names = ("replay.csv", "replay-summary.json") if replay else ("trajectory.csv", "summary.json")
+    csv_path, json_path = (out / name for name in names)
+    partial = csv_path.with_name(csv_path.name + ".partial")
+    try:
+        with open(partial, "w") as fh:
+            fh.write(arena.trajectory_csv_header(reveal) + "\n")
+            # the chunk workers format their runs' CSV text
+            export = functools.partial(arena.trajectory_csv_text, reveal_samples=reveal)
+            summary = arena.monte_carlo(
+                config, runs, epsilon=eps, workers=int(workers), _export=(export, fh.write)
+            )
+        os.replace(partial, csv_path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     arena.write_summary_json(json_path, summary)
     print(f"wrote {csv_path} and {json_path}")
-    if eps is not None:
+    if eps is not None and not replay:
         print(f"success rate at horizon: {summary.success_at_horizon:.3f}")
     return 0
 
 
 def cmd_complexity(args) -> int:
     file_cfg = _load_config_file(args.config)
-    algo = _require(_resolve(args, file_cfg, "algo", None), "algo")
-    adv = _require(_resolve(args, file_cfg, "adv", None), "adv")
-    n_field = _require(_resolve(args, file_cfg, "n", None), "n")
-    eps_field = _require(_resolve(args, file_cfg, "eps", None), "eps")
-    runs = int(_resolve(args, file_cfg, "runs", 400))
-    target = float(_resolve(args, file_cfg, "target", 0.75))
-    t_cap = int(_resolve(args, file_cfg, "t_cap", 1 << 20))
-    metric = _resolve(args, file_cfg, "metric", None)
-    seed = int(_resolve(args, file_cfg, "seed", _default_seed()))
-    workers = int(_resolve(args, file_cfg, "workers", arena.default_workers()))
-    out = _out_dir(_resolve(args, file_cfg, "out-dir", file_cfg.get("out_dir", "arena-out")))
+    algo = _require(_resolve(args, file_cfg, "algo"), "algo")
+    adv = _require(_resolve(args, file_cfg, "adv"), "adv")
+    n_field = _require(_resolve(args, file_cfg, "n"), "n")
+    eps_field = _require(_resolve(args, file_cfg, "eps"), "eps")
+    runs = int(_resolve(args, file_cfg, "runs", default=400))
+    target = float(_resolve(args, file_cfg, "target", default=0.75))
+    t_cap = int(_resolve(args, file_cfg, "t_cap", default=1 << 20))
+    metric = _resolve(args, file_cfg, "metric")
+    seed = int(_resolve(args, file_cfg, "seed", default=_default_seed()))
+    workers = int(_resolve(args, file_cfg, "workers", default=arena.default_workers()))
+    out = _out_dir(_resolve(args, file_cfg, "out-dir", "out_dir", default="arena-out"))
 
     ns = [int(v) for v in str(n_field).split(",")]
     epss = [float(v) for v in str(eps_field).split(",")]
@@ -290,54 +305,19 @@ def cmd_complexity(args) -> int:
 
 def cmd_breaker(args) -> int:
     file_cfg = _load_config_file(args.config)
-    baseline = _require(_resolve(args, file_cfg, "baseline", None), "baseline")
-    n = int(_require(_resolve(args, file_cfg, "n", None), "n"))
-    horizon = int(_require(_resolve(args, file_cfg, "horizon", file_cfg.get("T")), "T"))
+    baseline = _require(_resolve(args, file_cfg, "baseline"), "baseline")
+    n = int(_require(_resolve(args, file_cfg, "n"), "n"))
+    horizon = int(_require(_resolve(args, file_cfg, "horizon", "T"), "T"))
 
     report = arena.breaker_report(baseline, n, horizon)
     payload = report.to_dict()
     print(json.dumps(payload, indent=2))
-    out_dir = _resolve(args, file_cfg, "out-dir", file_cfg.get("out_dir", None))
+    out_dir = _resolve(args, file_cfg, "out-dir", "out_dir")
     if out_dir is not None:
         path = _out_dir(out_dir) / "breaker.json"
         path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {path}")
     return 0 if report.broken else 1
-
-
-def cmd_replay(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    path = _require(_resolve(args, file_cfg, "file", None), "file")
-    algo = _require(_resolve(args, file_cfg, "algo", None), "algo")
-    n = int(_require(_resolve(args, file_cfg, "n", None), "n"))
-    samples = load_sample_sequence(path)
-    horizon = _resolve(args, file_cfg, "horizon", file_cfg.get("T"))
-    horizon = int(horizon) if horizon is not None else len(samples)
-    if horizon > len(samples):
-        raise ValidationError(f"horizon {horizon} exceeds sequence length {len(samples)}")
-    runs = int(_resolve(args, file_cfg, "runs", 1))
-    seed = int(_resolve(args, file_cfg, "seed", _default_seed()))
-    eps = _resolve(args, file_cfg, "eps", None)
-    metric = _resolve(args, file_cfg, "metric", None)
-    reveal = bool(_resolve(args, file_cfg, "reveal-samples", file_cfg.get("reveal_samples", False)))
-    out = _out_dir(_resolve(args, file_cfg, "out-dir", file_cfg.get("out_dir", "arena-out")))
-
-    config = arena.GameConfig(
-        n=n,
-        horizon=horizon,
-        algorithm=_spec(algo),
-        adversary=arena.AdversarySpec("sequence", {"samples": samples}),
-        metric=metric,
-        seed=seed,
-    )
-    arena.validate_config(config)
-
-    csv_path = out / "replay.csv"
-    json_path = out / "replay-summary.json"
-    summary = _monte_carlo_to_csv(config, runs, eps, 1, csv_path, reveal)
-    arena.write_summary_json(json_path, summary)
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -347,7 +327,7 @@ def main(argv=None) -> int:
         "run": cmd_run,
         "complexity": cmd_complexity,
         "breaker": cmd_breaker,
-        "replay": cmd_replay,
+        "replay": cmd_run,
     }
     try:
         return handlers[args.command](args)

@@ -197,6 +197,13 @@ class TestMedianLbAdversary:
         adv = MedianLbAdversary(config, rng(0))
         assert draw(adv, config.horizon + 5)[-5:] == [1] * 5
 
+    def test_first_phase_stream_is_pinned(self):
+        # values recorded when the first phase had its own inverse-CDF sampler
+        config = MedianLbConfig(4, 4, Fraction(1, 40), "+-+-")
+        adv = MedianLbAdversary(config, rng(2021))
+        assert adv.j == 11
+        assert draw(adv, 16) == [16, 9, 5, 11, 1, 5, 8, 5, 12, 15, 15, 2, 5, 16, 5, 13]
+
 
 class TestConstantCoin:
     def test_both_branches_reachable(self):

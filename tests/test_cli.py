@@ -163,13 +163,62 @@ class TestReplay:
                      "--T", "5", "--out-dir", str(tmp_path)])
         assert code == 2
 
+    def test_missing_field_exits_2(self, capsys):
+        assert main(["replay", "--algo", "cdfest", "--n", "4"]) == 2
+        assert "--file" in capsys.readouterr().err
+
+    def test_zero_runs_exit_2_and_keep_the_earlier_output(self, tmp_path, capsys):
+        seq = tmp_path / "seq.txt"
+        save_sample_sequence(seq, [2, 3, 1, 4, 4, 2, 1, 3])
+        argv = ["replay", "--file", str(seq), "--algo", "cdfest", "--n", "4", "--seed", "4",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        assert main(argv + ["--runs", "0"]) == 2
+        assert "runs must be >= 1" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
+
+    def test_replay_is_run_against_the_file(self, tmp_path):
+        samples = [(5 * t) % 7 + 1 for t in range(30)]
+        seq = tmp_path / "seq.txt"
+        save_sample_sequence(seq, samples)
+        flags = ["--algo", "cdfest", "--n", "6", "--T", "30", "--runs", "33", "--seed", "8",
+                 "--reveal-samples"]
+        assert main(["replay", "--file", str(seq), *flags, "--out-dir", str(tmp_path / "a")]) == 0
+        assert main(["run", "--adv", f"sequence:{seq}", "--workers", "1", *flags,
+                     "--out-dir", str(tmp_path / "b")]) == 0
+        replayed, run = tmp_path / "a" / "replay.csv", tmp_path / "b" / "trajectory.csv"
+        assert replayed.read_bytes() == run.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "replay"])
+def test_config_file_spellings(tmp_path, monkeypatch, command):
+    # a config file may spell out_dir, reveal_samples and T as well as the flags
+    samples = [(3 * t) % 5 + 1 for t in range(20)]
+    seq = tmp_path / "seq.txt"
+    save_sample_sequence(seq, samples)
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "algo": "cdfest", "adv": "uniform", "file": str(seq), "n": 4, "T": 12, "runs": 2,
+        "seed": 3, "workers": 1, "out_dir": str(tmp_path / "out"), "reveal_samples": True,
+    }))
+    monkeypatch.chdir(tmp_path)  # a wrong spelling would write to ./arena-out
+    assert main([command, "--config", str(cfg)]) == 0
+    csv_name, json_name = {"run": ("trajectory.csv", "summary.json"),
+                           "replay": ("replay.csv", "replay-summary.json")}[command]
+    lines = (tmp_path / "out" / csv_name).read_text().splitlines()
+    assert lines[0].endswith(",sample") and len(lines) == 1 + 2 * 12
+    payload = json.loads((tmp_path / "out" / json_name).read_text())
+    assert payload["config"]["horizon"] == 12 and len(payload["mse"]) == 12
+    assert not (tmp_path / "arena-out").exists()
+
 
 @pytest.mark.parametrize(
     "algo,metric", [("cdfest", None), ("cdfest", "median"), ("meanest", None)]
 )
 def test_csv_equals_export_of_run_game(tmp_path, algo, metric):
-    # run and replay go through monte_carlo's sink; their bytes must equal the
-    # export of round-loop trajectories for the same seed
+    # run and replay export through monte_carlo's chunk workers; their bytes
+    # must equal the export of round-loop trajectories for the same seed
     samples = [(3 * t) % 9 + 1 for t in range(40)]
     seq = tmp_path / "seq.txt"
     save_sample_sequence(seq, samples)
@@ -289,6 +338,16 @@ def test_protocol_error_in_a_pool_worker_exits_3(tmp_path, capsys, algo):
             "--runs", "33", "--workers", "2", "--out-dir", str(tmp_path)]
     assert main(argv) == 3
     assert "adversary at round 3: sample 9 outside 1..5" in capsys.readouterr().err
+
+
+def test_failed_run_keeps_the_earlier_output(tmp_path):
+    register_adversary("late-bad-sample", lambda p, n, h, rng: _LateBadSample(n))
+    flags = ["--algo", "cdfest", "--n", "4", "--T", "8", "--runs", "33", "--workers", "2",
+             "--out-dir", str(tmp_path)]
+    assert main(["run", "--adv", "uniform", *flags]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["run", "--adv", "late-bad-sample", *flags]) == 3
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_complexity_sweep_holds_one_pool(tmp_path, monkeypatch):
