@@ -327,7 +327,6 @@ _COMPATIBLE_METRICS = {
     "mean": ("mean",),
     "quantile": ("quantile",),
 }
-_DEFAULT_METRIC = {"cdf": "cdf", "median": "median", "mean": "mean", "quantile": "quantile"}
 
 
 @dataclass
@@ -366,7 +365,7 @@ def resolve_metric(config: GameConfig) -> tuple[str, float]:
     if config.seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {config.seed}")
     kind = algorithm_kind(config.algorithm)
-    metric = config.metric or _DEFAULT_METRIC[kind]
+    metric = config.metric or kind
     if metric not in _COMPATIBLE_METRICS[kind]:
         raise ValidationError(
             f"metric {metric!r} is incompatible with a {kind!r}-kind algorithm"
@@ -780,6 +779,8 @@ def monte_carlo(
     """
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
+    if epsilon is not None and not epsilon >= 0:  # also rejects nan
+        raise ValidationError(f"epsilon must be a nonnegative number, got {epsilon}")
     if sink is not None:
         if _export is not None:
             raise ValidationError("monte_carlo takes a sink or an export, not both")
@@ -877,6 +878,8 @@ def estimate_query_complexity(
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValidationError(f"epsilon must lie in (0, 1/2], got {epsilon}")
+    if not 0.0 < target <= 1.0:
+        raise ValidationError(f"target must lie in (0, 1], got {target}")
     if runs < 200:
         raise ValidationError(f"need >= 200 runs to resolve a {target} success rate, got {runs}")
     rates: dict[int, float] = {}

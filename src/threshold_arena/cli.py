@@ -8,9 +8,11 @@ Subcommands:
 
 Component specs are names with optional parameters, e.g. ``cdfest``,
 ``point-mass:1``, ``cdf-lb:epsilon=0.05,sigma=+``, ``quantile:tau=0.75``,
-``boosted:delta=0.05,inner=meanest``. Experiment fields may also come from a
-JSON config file (--config); explicit flags win. The master seed falls back
-to the THRESHOLD_ARENA_SEED environment variable, then to 0.
+``boosted:delta=0.05,inner=meanest``. Each field is typed, checked and
+defaulted once, on its flag. A JSON config file (--config) may give any field,
+spelled as its flag (out-dir, T) or as its attribute (out_dir, horizon); its
+fields become defaults of those flags, so a flag given still wins. The master
+seed falls back to THRESHOLD_ARENA_SEED when no seed is given, then to 0.
 
 Exit codes: 0 success, 1 a reported check failed, 2 invalid specification,
 3 protocol violation (including nondeterminism where determinism is required).
@@ -87,42 +89,49 @@ def _spec(value):
     return arena.ComponentSpec(name, params)
 
 
-def _resolve(args, config_file: dict, *keys: str, default=None):
-    """The flag named by keys[0] if given, else the first of keys found in the
-    config file (which may spell a field as the flag, e.g. out-dir or T, or
-    as its attribute, e.g. out_dir or horizon), else default."""
-    value = getattr(args, keys[0].replace("-", "_"), None)
-    if value is not None:
-        return value
-    for key in keys:
-        if key in config_file:
-            return config_file[key]
-    return default
-
-
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
+def _use_config_file(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make a config file's fields the defaults of a subcommand's flags, as
+    text that argparse converts with each flag's own type. Fields that no
+    flag declares are ignored; a switch takes only true or false, and a spec
+    object for a SPEC flag (algo, adv) passes through to _spec."""
     try:
-        return json.loads(Path(path).read_text())
+        fields = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read config file {path}: {exc}")
-
-
-def _default_seed() -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(f"{SEED_ENV_VAR}={env!r} is not an integer seed")
+        parser.error(f"cannot read config file {path}: {exc}")
+    if not isinstance(fields, dict):
+        parser.error(f"config file {path} does not hold a JSON object")
+    defaults = {}
+    for action in parser._actions:
+        names = (action.dest, *(flag.lstrip("-") for flag in action.option_strings))
+        name = next((name for name in names if name in fields), None)
+        if name is None or action.default is argparse.SUPPRESS:  # --help takes no field
+            continue
+        value = fields[name]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                parser.error(f"config field {name}: expected true or false, got {value!r}")
+        elif not (isinstance(value, dict) and action.metavar == "SPEC"):
+            value = str(value)
+        defaults[action.dest] = value
+    parser.set_defaults(**defaults)
 
 
 def _out_dir(path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _comma_list(cast):
+    """The argparse type of a comma-separated list of cast values."""
+    def parse(text: str) -> list:
+        return [cast(value) for value in text.split(",")]
+    parse.__name__ = f"comma-separated {cast.__name__}"  # argparse's error message names it
+    return parse
+
+
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,50 +141,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the flags run and replay share
-    game = argparse.ArgumentParser(add_help=False)
-    game.add_argument("--algo", help="algorithm spec, e.g. cdfest or quantile:tau=0.75")
-    game.add_argument("--n", type=int, help="support parameter")
-    game.add_argument("--T", type=int, dest="horizon",
-                      help="rounds per run (replay: default the file's length)")
-    game.add_argument("--runs", type=int, help="number of Monte Carlo runs")
-    game.add_argument("--metric", choices=["cdf", "median", "mean", "quantile"])
+    # Flags that several subcommands share are declared once. argparse shares
+    # their Action objects between the subcommands, so a subcommand that needs
+    # another default (breaker's --out-dir) declares its own flag.
+    config = _flags()
+    config.add_argument("--config", help="JSON file with any of these fields; flags win")
+    sizes = _flags()
+    sizes.add_argument("--n", type=int, help="support parameter")
+    sizes.add_argument("--T", type=int, dest="horizon",
+                       help="rounds per run (replay: default the file's length)")
+    matchup = _flags()
+    matchup.add_argument("--algo", metavar="SPEC", help="algorithm spec, e.g. quantile:tau=0.75")
+    matchup.add_argument("--metric", choices=["cdf", "median", "mean", "quantile"])
+    # the variable's text is converted only when no seed is given
+    matchup.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV_VAR, "0"),
+                         help=f"master seed (default ${SEED_ENV_VAR}, else 0)")
+    matchup.add_argument("--out-dir", default="arena-out", help="output directory (%(default)s)")
+    pool = _flags()
+    pool.add_argument("--adv", metavar="SPEC", help="adversary spec, e.g. point-mass:1")
+    pool.add_argument("--workers", type=int, default=arena.default_workers(),
+                      help="worker processes (all cores, %(default)s)")
+    game = _flags(config, sizes, matchup)
+    game.add_argument("--runs", type=int, default=1, help="Monte Carlo runs (%(default)s)")
     game.add_argument("--eps", type=float, help="success threshold for rate reporting")
-    game.add_argument("--seed", type=int, help=f"master seed (default ${SEED_ENV_VAR} or 0)")
-    game.add_argument("--out-dir", help="output directory (default arena-out)")
-    game.add_argument("--reveal-samples", action="store_true", default=None,
+    game.add_argument("--reveal-samples", action="store_true",
                       help="include hidden samples in the trajectory CSV")
-    game.add_argument("--config", help="JSON file with any of these fields")
 
-    run = sub.add_parser("run", parents=[game], help="play one matchup over many seeded runs")
-    run.add_argument("--adv", help="adversary spec, e.g. uniform or point-mass:1")
-    run.add_argument("--workers", type=int, help="worker processes (default all cores)")
+    run = sub.add_parser("run", parents=[game, pool], help="play one matchup over many seeded runs")
+    run.set_defaults(handler=cmd_run, parser=run)
 
-    comp = sub.add_parser("complexity", help="estimate empirical query complexity")
-    comp.add_argument("--algo")
-    comp.add_argument("--adv")
-    comp.add_argument("--n", help="comma-separated support sizes, e.g. 8,16")
-    comp.add_argument("--eps", help="comma-separated epsilons, e.g. 0.2,0.1")
-    comp.add_argument("--runs", type=int)
-    comp.add_argument("--target", type=float, help="required success probability (default 0.75)")
-    comp.add_argument("--t-cap", type=int, dest="t_cap", help="largest horizon to probe")
-    comp.add_argument("--metric", choices=["cdf", "median", "mean", "quantile"])
-    comp.add_argument("--seed", type=int)
-    comp.add_argument("--workers", type=int)
-    comp.add_argument("--out-dir")
-    comp.add_argument("--config")
+    comp = sub.add_parser("complexity", parents=[config, matchup, pool],
+                          help="estimate empirical query complexity")
+    comp.add_argument("--n", type=_comma_list(int), help="support sizes, e.g. 8,16")
+    comp.add_argument("--eps", type=_comma_list(float), help="epsilons, e.g. 0.2,0.1")
+    comp.add_argument("--runs", type=int, default=400, help="runs per probe (%(default)s)")
+    comp.add_argument("--target", type=float, default=0.75,
+                      help="required success probability (%(default)s)")
+    comp.add_argument("--t-cap", type=int, default=1 << 20,
+                      help="largest horizon to probe (%(default)s)")
+    comp.set_defaults(handler=cmd_complexity, parser=comp)
 
-    brk = sub.add_parser("breaker", help="defeat a registered deterministic baseline")
+    brk = sub.add_parser("breaker", parents=[config, sizes],
+                         help="defeat a registered deterministic baseline")
     brk.add_argument("--baseline", help="deterministic algorithm name (midpoint, halving)")
-    brk.add_argument("--n", type=int)
-    brk.add_argument("--T", type=int, dest="horizon")
-    brk.add_argument("--out-dir")
-    brk.add_argument("--config")
+    brk.add_argument("--out-dir", help="also write breaker.json to this directory")
+    brk.set_defaults(handler=cmd_breaker, parser=brk)
 
-    rep = sub.add_parser(
-        "replay", parents=[game], help="run an algorithm against an exported sample sequence"
-    )
+    rep = sub.add_parser("replay", parents=[game], help="run against an exported sample sequence")
     rep.add_argument("--file", help="newline-delimited sample file")
+    rep.set_defaults(handler=cmd_run, parser=rep)
 
     return parser
 
@@ -194,33 +208,27 @@ def cmd_run(args) -> int:
     every run has succeeded, so a failed command leaves earlier outputs as
     they were.
     """
-    file_cfg = _load_config_file(args.config)
     replay = args.command == "replay"
-    path = _require(_resolve(args, file_cfg, "file"), "file") if replay else None
-    algo = _require(_resolve(args, file_cfg, "algo"), "algo")
-    adv = None if replay else _require(_resolve(args, file_cfg, "adv"), "adv")
-    n = int(_require(_resolve(args, file_cfg, "n"), "n"))
-    horizon = _resolve(args, file_cfg, "horizon", "T")
+    path = _require(args.file, "file") if replay else None
+    algo = _require(args.algo, "algo")
+    adv = None if replay else _require(args.adv, "adv")
+    n = _require(args.n, "n")
+    horizon = args.horizon
     if replay:
         samples = load_sample_sequence(path)
         adv = arena.AdversarySpec("sequence", {"samples": samples})
         horizon = len(samples) if horizon is None else horizon
-    horizon = int(_require(horizon, "T"))
-    runs = int(_resolve(args, file_cfg, "runs", default=1))
-    seed = int(_resolve(args, file_cfg, "seed", default=_default_seed()))
-    eps = _resolve(args, file_cfg, "eps")
-    metric = _resolve(args, file_cfg, "metric")
-    workers = 1 if replay else _resolve(args, file_cfg, "workers", default=arena.default_workers())
-    reveal = bool(_resolve(args, file_cfg, "reveal-samples", "reveal_samples", default=False))
-    out = _out_dir(_resolve(args, file_cfg, "out-dir", "out_dir", default="arena-out"))
+    horizon = _require(horizon, "T")
+    reveal = args.reveal_samples
+    out = _out_dir(args.out_dir)
 
     config = arena.GameConfig(
         n=n,
         horizon=horizon,
         algorithm=_spec(algo),
         adversary=_spec(adv),
-        metric=metric,
-        seed=seed,
+        metric=args.metric,
+        seed=args.seed,
     )
     arena.validate_config(config)
 
@@ -233,7 +241,8 @@ def cmd_run(args) -> int:
             # the chunk workers format their runs' CSV text
             export = functools.partial(arena.trajectory_csv_text, reveal_samples=reveal)
             summary = arena.monte_carlo(
-                config, runs, epsilon=eps, workers=int(workers), _export=(export, fh.write)
+                config, args.runs, epsilon=args.eps, workers=1 if replay else args.workers,
+                _export=(export, fh.write),
             )
         os.replace(partial, csv_path)
     except BaseException:
@@ -241,27 +250,18 @@ def cmd_run(args) -> int:
         raise
     arena.write_summary_json(json_path, summary)
     print(f"wrote {csv_path} and {json_path}")
-    if eps is not None and not replay:
+    if args.eps is not None and not replay:
         print(f"success rate at horizon: {summary.success_at_horizon:.3f}")
     return 0
 
 
 def cmd_complexity(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    algo = _require(_resolve(args, file_cfg, "algo"), "algo")
-    adv = _require(_resolve(args, file_cfg, "adv"), "adv")
-    n_field = _require(_resolve(args, file_cfg, "n"), "n")
-    eps_field = _require(_resolve(args, file_cfg, "eps"), "eps")
-    runs = int(_resolve(args, file_cfg, "runs", default=400))
-    target = float(_resolve(args, file_cfg, "target", default=0.75))
-    t_cap = int(_resolve(args, file_cfg, "t_cap", default=1 << 20))
-    metric = _resolve(args, file_cfg, "metric")
-    seed = int(_resolve(args, file_cfg, "seed", default=_default_seed()))
-    workers = int(_resolve(args, file_cfg, "workers", default=arena.default_workers()))
-    out = _out_dir(_resolve(args, file_cfg, "out-dir", "out_dir", default="arena-out"))
-
-    ns = [int(v) for v in str(n_field).split(",")]
-    epss = [float(v) for v in str(eps_field).split(",")]
+    algo = _require(args.algo, "algo")
+    adv = _require(args.adv, "adv")
+    ns = _require(args.n, "n")
+    epss = _require(args.eps, "eps")
+    workers = args.workers
+    out = _out_dir(args.out_dir)
     algo_spec = _spec(algo)
     adv_spec = _spec(adv)
 
@@ -271,11 +271,13 @@ def cmd_complexity(args) -> int:
     with shared as pool:
         for n, eps in itertools.product(ns, epss):
             config = arena.GameConfig(
-                n=n, horizon=1, algorithm=algo_spec, adversary=adv_spec, metric=metric, seed=seed
+                n=n, horizon=1, algorithm=algo_spec, adversary=adv_spec, metric=args.metric,
+                seed=args.seed,
             )
             arena.validate_config(config)
             est = arena.estimate_query_complexity(
-                config, eps, target=target, runs=runs, t_cap=t_cap, workers=workers, _pool=pool
+                config, eps, target=args.target, runs=args.runs, t_cap=args.t_cap,
+                workers=workers, _pool=pool,
             )
             cells.append(
                 {
@@ -293,8 +295,8 @@ def cmd_complexity(args) -> int:
     table = {
         "algorithm": arena._jsonable(algo_spec),
         "adversary": arena._jsonable(adv_spec),
-        "target": target,
-        "runs": runs,
+        "target": args.target,
+        "runs": args.runs,
         "cells": cells,
     }
     path = out / "complexity.json"
@@ -304,17 +306,13 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_breaker(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    baseline = _require(_resolve(args, file_cfg, "baseline"), "baseline")
-    n = int(_require(_resolve(args, file_cfg, "n"), "n"))
-    horizon = int(_require(_resolve(args, file_cfg, "horizon", "T"), "T"))
-
-    report = arena.breaker_report(baseline, n, horizon)
+    baseline = _require(args.baseline, "baseline")
+    n = _require(args.n, "n")
+    report = arena.breaker_report(baseline, n, _require(args.horizon, "T"))
     payload = report.to_dict()
     print(json.dumps(payload, indent=2))
-    out_dir = _resolve(args, file_cfg, "out-dir", "out_dir")
-    if out_dir is not None:
-        path = _out_dir(out_dir) / "breaker.json"
+    if args.out_dir is not None:
+        path = _out_dir(args.out_dir) / "breaker.json"
         path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {path}")
     return 0 if report.broken else 1
@@ -323,14 +321,13 @@ def cmd_breaker(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "run": cmd_run,
-        "complexity": cmd_complexity,
-        "breaker": cmd_breaker,
-        "replay": cmd_run,
-    }
+    if args.config is not None:
+        # the file's fields become defaults; parse again, so that they are
+        # typed by their flags and a flag given still wins
+        _use_config_file(args.parser, args.config)
+        args = parser.parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ValidationError as exc:
         print(f"invalid specification: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,15 @@
 import contextlib
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import threshold_arena
 import threshold_arena.arena as arena_mod
 import threshold_arena.cli as cli_mod
 from threshold_arena import (
@@ -119,6 +124,25 @@ class TestRun:
         assert main(args + ["--seed", "99", "--out-dir", str(flag_out)]) == 0
         assert (env_out / "trajectory.csv").read_bytes() == (flag_out / "trajectory.csv").read_bytes()
 
+    def test_malformed_env_seed_is_not_read_when_a_seed_is_given(self, tmp_path, monkeypatch):
+        args = ["run", "--algo", "cdfest", "--adv", "uniform", "--n", "4", "--T", "8",
+                "--runs", "2", "--seed", "5", "--workers", "1"]
+        assert main(args + ["--out-dir", str(tmp_path / "plain")]) == 0
+        monkeypatch.setenv("THRESHOLD_ARENA_SEED", "abc")
+        assert main(args + ["--out-dir", str(tmp_path / "env")]) == 0
+        for name in ("trajectory.csv", "summary.json"):
+            assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    @pytest.mark.parametrize("eps", ["nan", "-1"])
+    def test_invalid_eps_exits_2(self, tmp_path, capsys, eps):
+        code = main([
+            "run", "--algo", "cdfest", "--adv", "uniform", "--n", "4", "--T", "8",
+            "--eps", eps, "--workers", "1", "--out-dir", str(tmp_path),
+        ])
+        assert code == 2
+        assert "epsilon must be a nonnegative number" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no summary.json, no CSV
+
     def test_reveal_samples_column(self, tmp_path):
         code = main([
             "run", "--algo", "cdfest", "--adv", "uniform", "--n", "4", "--T", "4",
@@ -142,6 +166,21 @@ class TestBreaker:
 
     def test_randomized_baseline_rejected(self, capsys):
         assert main(["breaker", "--baseline", "cdfest", "--n", "16", "--T", "160"]) == 2
+
+    def test_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        fields = {"baseline": "halving", "n": 16, "T": 160, "out_dir": str(tmp_path / "file")}
+        cfg.write_text(json.dumps(fields))
+        assert main(["breaker", "--config", str(cfg)]) == 0
+        assert main(["breaker", "--baseline", "halving", "--n", "16", "--T", "160",
+                     "--out-dir", str(tmp_path / "flags")]) == 0
+        written = (tmp_path / "file" / "breaker.json").read_bytes()
+        assert written == (tmp_path / "flags" / "breaker.json").read_bytes()
+        cfg.write_text(json.dumps({**fields, "n": "x"}))
+        with pytest.raises(SystemExit) as exit_:
+            main(["breaker", "--config", str(cfg)])
+        assert exit_.value.code == 2
+        assert "argument --n: invalid int value: 'x'" in capsys.readouterr().err
 
 
 class TestReplay:
@@ -214,6 +253,40 @@ def test_config_file_spellings(tmp_path, monkeypatch, command):
 
 
 @pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"n": "abc"}, "argument --n: invalid int value: 'abc'"),
+        ({"runs": 2.9}, "argument --runs: invalid int value: '2.9'"),
+        ({"reveal_samples": "false"}, "config field reveal_samples: expected true or false"),
+        (["algo", "cdfest"], "does not hold a JSON object"),
+    ],
+    ids=["n-text", "runs-float", "switch-text", "list"],
+)
+def test_malformed_config_file_exits_2(tmp_path, capsys, fields, message):
+    # a config field is typed by its flag, so it fails as the flag would
+    cfg = tmp_path / "exp.json"
+    base = {"algo": "cdfest", "adv": "uniform", "n": 4, "T": 8, "workers": 1}
+    cfg.write_text(json.dumps({**base, **fields} if isinstance(fields, dict) else fields))
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exit_codes_of_the_process(tmp_path):
+    # argparse exits the process itself, which main()-level tests cannot see
+    env = {**os.environ, "PYTHONPATH": str(Path(threshold_arena.__file__).parents[1])}
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"n": "abc"}))
+    base = [sys.executable, "-m", "threshold_arena.cli", "run", "--algo", "cdfest", "--adv",
+            "uniform", "--T", "8", "--workers", "1", "--out-dir", str(tmp_path / "out")]
+    for extra, code in ((["--n", "4"], 0), (["--n", "abc"], 2), (["--config", str(cfg)], 2)):
+        done = subprocess.run(base + extra, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr
+
+
+@pytest.mark.parametrize(
     "algo,metric", [("cdfest", None), ("cdfest", "median"), ("meanest", None)]
 )
 def test_csv_equals_export_of_run_game(tmp_path, algo, metric):
@@ -247,6 +320,47 @@ class TestComplexity:
         (cell,) = table["cells"]
         assert cell["resolved"] and 1 <= cell["t_hat"] <= cell["reference_mean_budget"] == 16
         assert cell["reference_cdf_budget"] == int(np.ceil(3 * 16 * np.log(128) / 0.25**2))
+
+    def test_config_file_equals_flags(self, tmp_path):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "algo": "meanest", "adv": "uniform", "n": "8,16", "eps": 0.25, "runs": 200,
+            "seed": 2, "target": 0.8, "t-cap": 4, "workers": 1, "out_dir": str(tmp_path / "file"),
+        }))
+        assert main(["complexity", "--config", str(cfg)]) == 0
+        assert main(["complexity", "--algo", "meanest", "--adv", "uniform", "--n", "8,16",
+                     "--eps", "0.25", "--runs", "200", "--seed", "2", "--target", "0.8",
+                     "--t-cap", "4", "--workers", "1", "--out-dir", str(tmp_path / "flags")]) == 0
+        file_table, flag_table = (tmp_path / d / "complexity.json" for d in ("file", "flags"))
+        assert file_table.read_bytes() == flag_table.read_bytes()
+        cells = json.loads(file_table.read_text())["cells"]
+        assert [cell["n"] for cell in cells] == [8, 16]
+        assert not any(cell["resolved"] for cell in cells)  # the file's t-cap held
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_malformed_n_list_exits_2(self, tmp_path, capsys, from_file):
+        argv = ["complexity", "--algo", "meanest", "--adv", "uniform", "--eps", "0.25"]
+        if from_file:
+            cfg = tmp_path / "exp.json"
+            cfg.write_text(json.dumps({"n": "8,x"}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--n", "8,x"]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--out-dir", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert "argument --n: invalid comma-separated int value: '8,x'" in capsys.readouterr().err
+
+    def test_unreachable_target_exits_2_before_any_probe(self, tmp_path, capsys, monkeypatch):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("a probe ran")
+
+        monkeypatch.setattr(arena_mod, "monte_carlo", no_probe)
+        code = main(["complexity", "--algo", "meanest", "--adv", "uniform", "--n", "8",
+                     "--eps", "0.25", "--runs", "200", "--target", "75", "--workers", "1",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "target must lie in (0, 1], got 75.0" in capsys.readouterr().err
 
 
 def reference_csv_text(run_id, trajectory, reveal_samples=False):
