@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from typing import Callable, Iterator
 
 import numpy as np
@@ -169,7 +169,11 @@ def save_sample_sequence(path, samples: Sequence[int]) -> None:
 
 
 def load_sample_sequence(path) -> list[int]:
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read sequence file {path}: {exc}")
+    lines = [ln.strip() for ln in text.splitlines()]
     try:
         return [int(ln) for ln in lines if ln]
     except ValueError as exc:
@@ -195,8 +199,13 @@ def _parse_sigma(sigma, length: int) -> tuple[int, ...]:
                 out = tuple(mapping[ch] for ch in sigma)
             except KeyError:
                 raise ValidationError(f"sigma string {sigma!r} must use only '+' and '-'")
+    elif isinstance(sigma, Iterable):
+        try:
+            out = tuple(int(s) for s in sigma)
+        except (TypeError, ValueError):
+            raise ValidationError(f"sigma entries must be +1 or -1, got {sigma!r}") from None
     else:
-        out = tuple(int(s) for s in sigma)
+        raise ValidationError(f"sigma must be a string or an iterable of +1 and -1, got {sigma!r}")
     if len(out) != length:
         raise ValidationError(f"sigma must have length {length}, got {len(out)}")
     if any(s not in (-1, 1) for s in out):
@@ -407,9 +416,8 @@ class AnytimeAdversary(Adversary):
 
     The factory is invoked once per segment with the segment length; each
     segment adversary sees only the history generated inside its segment, so
-    per-segment behavior matches a fresh fixed-horizon run. When the segment
-    adversaries have sample_batch (judged by the first), so does the
-    amplifier.
+    per-segment behavior matches a fresh fixed-horizon run. When the first
+    segment adversary has sample_batch, the amplifier is built with one.
     """
 
     def __init__(self, factory: Callable[[int], Adversary], t0: int = 1):
@@ -420,6 +428,8 @@ class AnytimeAdversary(Adversary):
         self._segment_len = t0
         self._segment_start = 0  # rounds completed before this segment
         self.n = self._segment.n
+        if hasattr(self._segment, "sample_batch"):
+            self.sample_batch = self._sample_batch
 
     def _next_segment(self) -> None:
         self._segment_start += self._segment_len
@@ -430,12 +440,6 @@ class AnytimeAdversary(Adversary):
         if len(history) - self._segment_start >= self._segment_len:
             self._next_segment()
         return self._segment.next_sample(_HistoryTail(history, self._segment_start))
-
-    @property
-    def sample_batch(self):
-        if not hasattr(self._segment, "sample_batch"):
-            raise AttributeError("the segment adversary has no sample_batch")
-        return self._sample_batch
 
     def _sample_batch(self, queries: np.ndarray) -> np.ndarray:
         """Each segment, built when live play builds it, samples its slice of the queries."""

@@ -43,6 +43,7 @@ from .core import (
     Trajectory,
     ValidationError,
     _quantile_error_floats,
+    as_fraction,
     mean_error,
 )
 from . import adversaries as adv_mod
@@ -176,6 +177,61 @@ def build_adversary(spec: AdversarySpec, n: int, horizon: int, rng) -> Adversary
     return _registered(_ADVERSARY_BUILDERS, spec, "adversary")(spec.params, n, horizon, rng)
 
 
+# Component parameters come from outside the program (command-line text or a
+# config file), so each is converted where its builder reads it, by _param.
+
+def _integer(value) -> int:
+    """An int from an int, an integral float or integer text; 2.5 is refused."""
+    number = int(value)
+    if not isinstance(value, str) and number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
+def _numbers(values) -> list[float]:
+    """A list of floats from a list of numbers; text is refused."""
+    if isinstance(values, str):
+        raise TypeError("text is not a list of numbers")
+    return [float(v) for v in values]
+
+
+def _integers(values) -> list[int]:
+    """A list of ints from a list of ints or integral floats; text is refused."""
+    if isinstance(values, str):
+        raise TypeError("text is not a list of integers")
+    values = list(values)
+    numbers = [int(v) for v in values]
+    if numbers != values:  # an entry was text, or a float such as 2.5
+        raise ValueError("not a list of integers")
+    return numbers
+
+
+_EXPECTED = {
+    _integer: "an integer",
+    float: "a number",
+    as_fraction: "a number",
+    _numbers: "a list of numbers",
+    _integers: "a list of integers",
+}
+
+
+def _param(component: str, params: dict, key: str, convert, default=None):
+    """params[key] converted by convert, or default when the key is absent.
+
+    A value that convert cannot take raises ValidationError naming the
+    component, the parameter and the value.
+    """
+    if key not in params:
+        return default
+    value = params[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ValidationError(
+            f"{component} parameter {key} must be {_EXPECTED[convert]}, got {value!r}"
+        ) from None
+
+
 # Built-in algorithms.
 
 def _build_cdfest(params, n, horizon, rng):
@@ -188,7 +244,9 @@ def _build_meanest(params, n, horizon, rng):
 
 def _build_stochastic_cdf(params, n, horizon, rng):
     return est_mod.StochasticCdf(
-        n, trials=params.get("trials", est_mod.BOOST_TRIALS), budget=params.get("budget")
+        n,
+        trials=_param("stochastic-cdf", params, "trials", _integer, est_mod.BOOST_TRIALS),
+        budget=_param("stochastic-cdf", params, "budget", _integer),
     )
 
 
@@ -201,9 +259,10 @@ def _build_stochastic_cdf(params, n, horizon, rng):
 def _build_quantile(params, n, horizon, rng):
     if "tau" not in params:
         raise ValidationError("quantile wrapper needs a tau parameter")
+    tau = _param("quantile", params, "tau", float)
     inner = build_algorithm(_as_spec(params.get("inner", "cdfest"), "algorithm"), n, horizon, rng)
-    coins = None if params["tau"] == 0.5 else spawn_lane(rng)
-    return est_mod.QuantileReduction(inner, params["tau"], coins)
+    coins = None if tau == 0.5 else spawn_lane(rng)
+    return est_mod.QuantileReduction(inner, tau, coins)
 
 
 def _build_boosted(params, n, horizon, rng):
@@ -212,9 +271,9 @@ def _build_boosted(params, n, horizon, rng):
     inner = _as_spec(params.get("inner", "meanest"), "algorithm")
     return est_mod.ConfidenceBoost(
         lambda: build_algorithm(inner, n, horizon, rng),
-        params["delta"],
+        _param("boosted", params, "delta", float),
         spawn_lane(rng),
-        copies=params.get("copies"),
+        copies=_param("boosted", params, "copies", _integer),
     )
 
 
@@ -244,13 +303,13 @@ def _uniform_pmf(params, n):
 def _point_mass_pmf(params, n):
     if "j" not in params:
         raise ValidationError("point-mass adversary needs a location parameter j")
-    return adv_mod.point_mass_pmf(int(params["j"]), n)
+    return adv_mod.point_mass_pmf(_param("point-mass", params, "j", _integer), n)
 
 
 def _stochastic_pmf(params, n):
     if "pmf" not in params:
         raise ValidationError("stochastic adversary needs an explicit pmf")
-    pmf = np.asarray([float(p) for p in params["pmf"]], dtype=np.float64)
+    pmf = np.asarray(_param("stochastic", params, "pmf", _numbers), dtype=np.float64)
     if pmf.size != n + 1:
         raise ValidationError(f"pmf must have n+1 = {n + 1} entries, got {pmf.size}")
     return pmf
@@ -259,7 +318,8 @@ def _stochastic_pmf(params, n):
 def _cdf_lb_pmf(params, n):
     if "epsilon" not in params:
         raise ValidationError("cdf-lb adversary needs an epsilon parameter")
-    fracs = adv_mod.cdf_lb_family(n, params["epsilon"], params.get("sigma", "+"))
+    epsilon = _param("cdf-lb", params, "epsilon", as_fraction)
+    fracs = adv_mod.cdf_lb_family(n, epsilon, params.get("sigma", "+"))
     return np.asarray([float(p) for p in fracs], dtype=np.float64)
 
 
@@ -275,7 +335,10 @@ def _build_median_lb(params, n, horizon, rng):
         if key not in params:
             raise ValidationError(f"median-lb adversary needs a {key} parameter")
     config = adv_mod.MedianLbConfig(
-        int(params["k"]), int(params["m"]), params["epsilon"], params.get("sigma", "+")
+        _param("median-lb", params, "k", _integer),
+        _param("median-lb", params, "m", _integer),
+        _param("median-lb", params, "epsilon", as_fraction),
+        params.get("sigma", "+"),
     )
     if config.n != n:
         raise ValidationError(f"median-lb config has n = 4k = {config.n}, game has n = {n}")
@@ -284,7 +347,7 @@ def _build_median_lb(params, n, horizon, rng):
 
 def _build_sequence(params, n, horizon, rng):
     if "samples" in params:
-        samples = params["samples"]
+        samples = _param("sequence", params, "samples", _integers)
     elif "path" in params:
         samples = adv_mod.load_sample_sequence(params["path"])
     else:
@@ -303,7 +366,7 @@ def _build_amplified(params, n, horizon, rng):
         raise ValidationError("amplified adversary needs an inner adversary spec")
     inner = _as_spec(params["inner"], "adversary")
     factory = lambda segment: build_adversary(inner, n, segment, rng)
-    return adv_mod.AnytimeAdversary(factory, t0=int(params.get("t0", 1)))
+    return adv_mod.AnytimeAdversary(factory, t0=_param("amplified", params, "t0", _integer, 1))
 
 
 register_adversary("uniform", _build_iid(_uniform_pmf))
@@ -373,7 +436,7 @@ def resolve_metric(config: GameConfig) -> tuple[str, float]:
     if metric == "quantile":
         tau = config.tau
         if tau is None:
-            tau = config.algorithm.params.get("tau")
+            tau = _param(config.algorithm.name, config.algorithm.params, "tau", float)
         if tau is None:
             raise ValidationError("quantile metric needs tau")
         tau = float(tau)
@@ -1069,13 +1132,15 @@ class BreakerReport:
         }
 
 
-def breaker_report(algorithm, n: int, horizon: int, seed: int = 0) -> BreakerReport:
+def breaker_report(algorithm, n: int, horizon: int) -> BreakerReport:
     """Build the breaker pair for a deterministic baseline and replay both sides.
 
     Replays the baseline against the left and right sequences, checks that the
     two feedback streams are bitwise identical, and scores the shared final
     median estimate exactly against both empirical CDFs. The construction
-    guarantees the larger error is at least 1/16.
+    guarantees the larger error is at least 1/16. The baseline is
+    deterministic and both sequences are fixed, so no seed can change the
+    report; its games are played on seed 0.
     """
     from .core import empirical_cdf, quantile_error
 
@@ -1085,7 +1150,7 @@ def breaker_report(algorithm, n: int, horizon: int, seed: int = 0) -> BreakerRep
     if algorithm_kind(spec) != "median":
         raise ValidationError(f"breaker needs a median-kind baseline, got {algorithm_kind(spec)!r}")
 
-    factory = lambda: build_algorithm(spec, n, horizon, derive_rng(seed, 0, ROLE_ALGORITHM))
+    factory = lambda: build_algorithm(spec, n, horizon, derive_rng(0, 0, ROLE_ALGORITHM))
     pair = adv_mod.build_breaker_pair(factory, n, horizon)
 
     def replay(samples):
@@ -1095,7 +1160,6 @@ def breaker_report(algorithm, n: int, horizon: int, seed: int = 0) -> BreakerRep
             algorithm=spec,
             adversary=AdversarySpec("sequence", {"samples": list(samples)}),
             metric="median",
-            seed=seed,
         )
         return run_game(config)
 

@@ -112,6 +112,10 @@ def _use_config_file(parser: argparse.ArgumentParser, path: str) -> None:
                 parser.error(f"config field {name}: expected true or false, got {value!r}")
         elif not (isinstance(value, dict) and action.metavar == "SPEC"):
             value = str(value)
+        # argparse checks choices only on command-line values, not on defaults
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            parser.error(f"config field {name}: invalid choice: {value!r} (choose from {choices})")
         defaults[action.dest] = value
     parser.set_defaults(**defaults)
 
@@ -128,6 +132,13 @@ def _comma_list(cast):
         return [cast(value) for value in text.split(",")]
     parse.__name__ = f"comma-separated {cast.__name__}"  # argparse's error message names it
     return parse
+
+
+def _seed(text: str) -> int:
+    return int(text)
+
+
+_seed.__name__ = f"seed (from --seed, --config or ${SEED_ENV_VAR})"  # argparse's error message names it
 
 
 def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -154,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     matchup.add_argument("--algo", metavar="SPEC", help="algorithm spec, e.g. quantile:tau=0.75")
     matchup.add_argument("--metric", choices=["cdf", "median", "mean", "quantile"])
     # the variable's text is converted only when no seed is given
-    matchup.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV_VAR, "0"),
+    matchup.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV_VAR, "0"),
                          help=f"master seed (default ${SEED_ENV_VAR}, else 0)")
     matchup.add_argument("--out-dir", default="arena-out", help="output directory (%(default)s)")
     pool = _flags()

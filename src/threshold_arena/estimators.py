@@ -226,9 +226,9 @@ class QuantileEstimate:
     trial_indices: tuple[int, ...]
 
 
-def search_budget(n: int, scale: float = SEARCH_BUDGET_SCALE) -> int:
-    """Hard per-search cap on oracle calls: ceil(scale * log2(n + 2))."""
-    return int(math.ceil(scale * math.log2(n + 2)))
+def search_budget(n: int) -> int:
+    """Hard per-search cap on oracle calls: ceil(SEARCH_BUDGET_SCALE * log2(n + 2))."""
+    return int(math.ceil(SEARCH_BUDGET_SCALE * math.log2(n + 2)))
 
 
 def _quantile_search(n: int, tau: float, budget: int):
@@ -414,7 +414,13 @@ class StochasticCdfResult:
 
 
 def _anchor_pipeline(n: int, trials: int, budget: int, out: dict):
-    """Generator: boosted anchor per tau in ANCHOR_TAUS, filling `out` as it goes."""
+    """Generator: boosted anchor per tau in ANCHOR_TAUS, filling `out` as it goes.
+
+    Its first step rejects a trials below 1, which would leave each anchor
+    with no trial to vote; an even count votes by the lower median.
+    """
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
     for tau in ANCHOR_TAUS:
         out[tau] = yield from _boost_pipeline(n, tau, trials, budget)
 
@@ -532,9 +538,10 @@ class QuantileReduction(OnlineAlgorithm):
 
     The coins B come from rng, which must be a lane of their own: draws of
     the inner algorithm on the same generator would interleave with them.
-    Over a CDF-kind inner algorithm with batch methods the wrapper has them
-    too: query_batch is the inner one, and estimate_batch returns the inner
-    CDF rows fed the rewritten feedback, whose median index is the estimate.
+    Built over a CDF-kind inner algorithm with batch methods, the wrapper
+    gets them too: query_batch and batch_copies (else 1) are the inner's,
+    and estimate_batch returns the inner CDF rows fed the rewritten
+    feedback, whose median index is the estimate.
     """
 
     kind = "quantile"
@@ -551,6 +558,10 @@ class QuantileReduction(OnlineAlgorithm):
         self.tau = float(tau)
         self._rng = rng
         self._p = 1.0 / (2.0 * tau) if tau > 0.5 else 1.0 / (2.0 * (1.0 - tau))
+        if inner.kind == "cdf" and hasattr(inner, "query_batch") and hasattr(inner, "estimate_batch"):
+            self.query_batch = inner.query_batch
+            self.estimate_batch = self._estimate_batch
+            self.batch_copies = getattr(inner, "batch_copies", 1)
 
     def _query(self, rng: np.random.Generator) -> int:
         return self.inner.next_query(rng)
@@ -569,25 +580,6 @@ class QuantileReduction(OnlineAlgorithm):
     def snapshot(self) -> int:
         return _median_of(self.inner)
 
-    def _batchable(self) -> OnlineAlgorithm:
-        inner = self.inner
-        if inner.kind != "cdf" or not hasattr(inner, "estimate_batch"):
-            raise AttributeError("the inner algorithm has no batch methods for CDF rows")
-        return inner
-
-    @property
-    def query_batch(self):
-        return self._batchable().query_batch
-
-    @property
-    def estimate_batch(self):
-        self._batchable()
-        return self._estimate_batch
-
-    @property
-    def batch_copies(self) -> int:
-        return getattr(self.inner, "batch_copies", 1)
-
     def _estimate_batch(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
         if self.tau != 0.5:
             coins = self._rng.random(len(queries)) < self._p
@@ -599,17 +591,18 @@ class QuantileReduction(OnlineAlgorithm):
 class ConfidenceBoost(OnlineAlgorithm):
     """Random-routing ensemble returning the median of its copies' estimates.
 
-    Runs k = max(1, ceil(scale * ln(1/delta))) independent copies, routes each
-    round to a uniformly random copy, and snapshots the median estimate:
-    pointwise over CDF values for CDF-kind copies, the scalar median
-    otherwise. Copies that have seen no rounds yet are skipped.
+    Runs k = max(1, ceil(BOOST_COPIES_SCALE * ln(1/delta))) independent
+    copies unless copies is given, routes each round to a uniformly random
+    copy, and snapshots the median estimate: pointwise over CDF values for
+    CDF-kind copies, the scalar median otherwise. Copies that have seen no
+    rounds yet are skipped.
 
     The routing comes from rng, which must be a lane of its own. When the
     copies are cdf- or mean-kind uniform queriers, a round's query does not
-    depend on which copy it is routed to, so the booster has batch methods:
-    query_batch is a copy's, and estimate_batch replays every copy at once.
-    Its rows hold k copies' estimates, which batch_copies reports so the
-    replay can size its blocks.
+    depend on which copy it is routed to, so the booster is built with batch
+    methods: query_batch is a copy's, and estimate_batch replays every copy
+    at once. Its rows hold k copies' estimates, which batch_copies reports
+    so the replay can size its blocks.
     """
 
     def __init__(
@@ -618,12 +611,11 @@ class ConfidenceBoost(OnlineAlgorithm):
         delta: float,
         rng: np.random.Generator,
         copies: int | None = None,
-        scale: float = BOOST_COPIES_SCALE,
     ):
         if not 0.0 < delta <= 0.25:
             raise ValidationError(f"delta must lie in (0, 1/4], got {delta}")
         if copies is None:
-            copies = max(1, math.ceil(scale * math.log(1.0 / delta)))
+            copies = max(1, math.ceil(BOOST_COPIES_SCALE * math.log(1.0 / delta)))
         if copies < 1:
             raise ValidationError(f"copies must be >= 1, got {copies}")
         self.copies = [factory() for _ in range(copies)]
@@ -636,9 +628,10 @@ class ConfidenceBoost(OnlineAlgorithm):
         self.delta = float(delta)
         self._rng = rng
         self._active: int | None = None
-        self._batchable = self.kind in ("cdf", "mean") and all(
-            isinstance(c, _UniformQueries) for c in self.copies
-        )
+        if self.kind in ("cdf", "mean") and all(isinstance(c, _UniformQueries) for c in self.copies):
+            self.query_batch = self.copies[0].query_batch
+            self.estimate_batch = self._estimate_batch
+            self.batch_copies = len(self.copies)
 
     @property
     def k(self) -> int:
@@ -666,24 +659,6 @@ class ConfidenceBoost(OnlineAlgorithm):
             return float(_live_median(np.array(live, dtype=np.float64), everyone))
         estimates = sorted(int(s) for s in live)
         return estimates[(len(estimates) - 1) // 2]
-
-    def _batch_copy(self) -> _UniformQueries:
-        if not self._batchable:
-            raise AttributeError("the copies have no batch methods")
-        return self.copies[0]
-
-    @property
-    def query_batch(self):
-        return self._batch_copy().query_batch
-
-    @property
-    def estimate_batch(self):
-        self._batch_copy()
-        return self._estimate_batch
-
-    @property
-    def batch_copies(self) -> int:
-        return self.k
 
     def _estimate_batch(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
         """Row i holds snapshot() after the block's round i+1: median CDF values or means.

@@ -610,11 +610,79 @@ class TestMonteCarlo:
             AdversarySpec("amplified", {"inner": {"name": "sequence", "params": {"samples": [1, 2, 3]}}, "t0": 4}),
             "sample sequence exhausted after 3 rounds, before the horizon 4",
         ),
+        # malformed parameters, as command-line text or config files give them
+        ("cdfest", AdversarySpec("point-mass", {"j": "abc"}), "point-mass parameter j must be an integer, got 'abc'"),
+        ("cdfest", AdversarySpec("stochastic", {"pmf": "abc"}), "stochastic parameter pmf must be a list of numbers, got 'abc'"),
+        ("cdfest", AdversarySpec("cdf-lb", {"epsilon": "abc"}), "cdf-lb parameter epsilon must be a number, got 'abc'"),
+        (
+            "cdfest",
+            AdversarySpec("cdf-lb", {"epsilon": 0.05, "sigma": 5}),
+            "sigma must be a string or an iterable of +1 and -1, got 5",
+        ),
+        (
+            "cdfest",
+            AdversarySpec("cdf-lb", {"epsilon": 0.05, "sigma": ["x", 1, 1, 1]}),
+            "sigma entries must be +1 or -1, got ['x', 1, 1, 1]",
+        ),
+        (
+            "cdfest",
+            AdversarySpec("median-lb", {"k": "abc", "m": 1, "epsilon": 0}),
+            "median-lb parameter k must be an integer, got 'abc'",
+        ),
+        (
+            "cdfest",
+            AdversarySpec("median-lb", {"k": 4, "m": 1, "epsilon": "abc"}),
+            "median-lb parameter epsilon must be a number, got 'abc'",
+        ),
+        (
+            "cdfest",
+            AdversarySpec("amplified", {"inner": "uniform", "t0": "abc"}),
+            "amplified parameter t0 must be an integer, got 'abc'",
+        ),
+        (
+            "cdfest",
+            AdversarySpec("sequence", {"path": "/nonexistent/samples.txt"}),
+            "cannot read sequence file /nonexistent/samples.txt: "
+            "[Errno 2] No such file or directory: '/nonexistent/samples.txt'",
+        ),
+        (
+            "cdfest",
+            AdversarySpec("sequence", {"samples": [1, 2.5, 3]}),
+            "sequence parameter samples must be a list of integers, got [1, 2.5, 3]",
+        ),
+        (AlgorithmSpec("stochastic-cdf", {"trials": 0}), "uniform", "trials must be >= 1, got 0"),
+        (
+            AlgorithmSpec("stochastic-cdf", {"trials": 2.5}),
+            "uniform",
+            "stochastic-cdf parameter trials must be an integer, got 2.5",
+        ),
+        (
+            AlgorithmSpec("stochastic-cdf", {"budget": "x"}),
+            "uniform",
+            "stochastic-cdf parameter budget must be an integer, got 'x'",
+        ),
+        (AlgorithmSpec("boosted", {"delta": "abc"}), "uniform", "boosted parameter delta must be a number, got 'abc'"),
+        (
+            AlgorithmSpec("boosted", {"delta": 0.1, "copies": 2.5}),
+            "uniform",
+            "boosted parameter copies must be an integer, got 2.5",
+        ),
+        (
+            AlgorithmSpec("boosted", {"delta": 0.1, "copies": "x"}),
+            "uniform",
+            "boosted parameter copies must be an integer, got 'x'",
+        ),
+        (AlgorithmSpec("quantile", {"tau": "abc"}), "uniform", "quantile parameter tau must be a number, got 'abc'"),
     ],
     ids=[
         "negative-pmf", "pmf-sum", "pmf-length", "short-sequence", "sequence-range", "median-lb-n",
         "quantile-negative-pmf", "quantile-tau", "boosted-delta", "boosted-amplified-pmf-sum",
         "amplified-short-sequence",
+        "point-mass-j-text", "stochastic-pmf-text", "cdf-lb-epsilon-text", "cdf-lb-sigma-int",
+        "cdf-lb-sigma-text-entry", "median-lb-k-text", "median-lb-epsilon-text", "amplified-t0-text",
+        "sequence-missing-file", "sequence-float-sample",
+        "stochastic-cdf-trials-0", "stochastic-cdf-trials-float", "stochastic-cdf-budget-text",
+        "boosted-delta-text", "boosted-copies-float", "boosted-copies-text", "quantile-tau-text",
     ],
 )
 def test_engines_reject_the_same_inputs(algorithm, adversary, message):

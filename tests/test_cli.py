@@ -274,6 +274,69 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, fields, message):
     assert not (tmp_path / "out").exists()
 
 
+_MALFORMED_PARAMETERS = {
+    "stochastic-cdf-trials-0": (["--algo", "stochastic-cdf:trials=0", "--adv", "uniform"], "trials"),
+    "stochastic-cdf-trials-float": (["--algo", "stochastic-cdf:trials=2.5", "--adv", "uniform"], "trials"),
+    "stochastic-cdf-budget-text": (["--algo", "stochastic-cdf:budget=x", "--adv", "uniform"], "budget"),
+    "boosted-delta-text": (["--algo", "boosted:delta=abc", "--adv", "uniform"], "delta"),
+    "boosted-copies-float": (["--algo", "boosted:delta=0.1,copies=2.5", "--adv", "uniform"], "copies"),
+    "boosted-copies-text": (["--algo", "boosted:delta=0.1,copies=x", "--adv", "uniform"], "copies"),
+    "quantile-tau-text": (["--algo", "quantile:tau=abc", "--adv", "uniform"], "tau"),
+    "point-mass-j-text": (["--algo", "cdfest", "--adv", "point-mass:j=abc"], "parameter j "),
+    "cdf-lb-epsilon-text": (["--algo", "cdfest", "--adv", "cdf-lb:epsilon=abc"], "epsilon"),
+    "cdf-lb-sigma-int": (["--algo", "cdfest", "--adv", "cdf-lb:epsilon=0.05,sigma=5"], "sigma"),
+    "median-lb-k-text": (["--algo", "cdfest", "--adv", "median-lb:k=abc,m=1,epsilon=0", "--n", "16"], "parameter k "),
+    "median-lb-epsilon-text": (
+        ["--algo", "cdfest", "--adv", "median-lb:k=4,m=1,epsilon=abc", "--n", "16"], "epsilon"
+    ),
+    "amplified-t0-text": (["--algo", "cdfest", "--adv", "amplified:inner=uniform,t0=abc"], "t0"),
+    "stochastic-pmf-text": (["--algo", "cdfest", "--adv", "stochastic:pmf=abc"], "pmf"),
+    "sequence-missing-path": (["--algo", "cdfest", "--adv", "sequence:path=/nonexistent"], "/nonexistent"),
+    "sequence-samples-int": (["--algo", "cdfest", "--adv", "sequence:samples=5"], "samples"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_PARAMETERS))
+def test_malformed_component_parameter_exits_2(tmp_path, capsys, case):
+    flags, parameter = _MALFORMED_PARAMETERS[case]
+    out = tmp_path / "out"
+    base = ["run", "--n", "8", "--T", "50", "--runs", "1", "--workers", "1", "--out-dir", str(out)]
+    assert main(base + flags) == 2  # a later --n overrides the 8
+    err = capsys.readouterr().err
+    assert err.startswith("invalid specification: ") and parameter in err
+    assert not list(out.glob("*"))  # no summary.json, no CSV
+
+
+def test_replay_of_a_missing_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    missing = tmp_path / "missing.txt"
+    assert main(["replay", "--file", str(missing), "--algo", "cdfest", "--n", "8",
+                 "--out-dir", str(out)]) == 2
+    assert f"cannot read sequence file {missing}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_malformed_env_seed_names_the_variable(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("THRESHOLD_ARENA_SEED", "abc")
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--algo", "cdfest", "--adv", "uniform", "--n", "4", "--T", "8",
+              "--out-dir", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed" in err and "THRESHOLD_ARENA_SEED" in err and "'abc'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_metric_is_checked_against_the_choices(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"algo": "cdfest", "adv": "uniform", "n": 4, "T": 8, "metric": "bogus"}))
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert "config field metric: invalid choice: 'bogus' (choose from 'cdf'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_codes_of_the_process(tmp_path):
     # argparse exits the process itself, which main()-level tests cannot see
     env = {**os.environ, "PYTHONPATH": str(Path(threshold_arena.__file__).parents[1])}
