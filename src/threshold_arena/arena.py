@@ -8,7 +8,10 @@ estimate is scored against the exact running empirical CDF / mean.
 
 Everything is reproducible: a master seed is split into independent
 per-(run, role) lanes via numpy SeedSequence spawn keys, and runs are
-aggregated in a fixed chunk order regardless of worker count. The quantile
+aggregated in a fixed chunk order regardless of worker count. The registries
+hold builders only: what the arena needs to know of an algorithm (its kind,
+whether it is deterministic, a quantile kind's tau) it reads off the object
+the builder returns, in the places where one is built anyway. The quantile
 and boosted wrappers draw their coins and routing on lanes spawned from the
 algorithm lane (spawn_lane), never on the algorithm lane itself. Monte Carlo
 builds both sides of every run once; when a cdf-, mean- or quantile-kind
@@ -101,29 +104,23 @@ class ComponentSpec:
 AlgorithmSpec = AdversarySpec = ComponentSpec
 
 
-@dataclass(frozen=True)
-class _AlgorithmEntry:
-    build: Callable[[dict, int, int, np.random.Generator], OnlineAlgorithm]
-    kind: Any  # str, or callable(params) -> str for wrappers
-    deterministic: bool = False
-
-
-_ALGORITHMS: dict[str, _AlgorithmEntry] = {}
+_ALGORITHM_BUILDERS: dict[str, Callable[[dict, int, int, np.random.Generator], OnlineAlgorithm]] = {}
 _ADVERSARY_BUILDERS: dict[str, Callable[[dict, int, int, np.random.Generator], Adversary]] = {}
 
 
-def register_algorithm(name, build, kind, deterministic=False) -> None:
-    """Expose an algorithm builder to configs and the command line.
+def register_algorithm(name, build) -> None:
+    """Expose an algorithm builder: build(params, n, horizon, rng) -> OnlineAlgorithm.
 
-    build(params, n, horizon, rng) -> OnlineAlgorithm. kind is the estimate
-    kind ("cdf" | "mean" | "median" | "quantile") or a callable of params for
-    wrappers whose kind depends on what they wrap.
+    The arena reads what it needs off the built algorithm: its kind
+    ("cdf" | "mean" | "median" | "quantile"), its deterministic flag (the
+    breaker takes only deterministic baselines) and, for the quantile kind,
+    its tau, the quantile it is scored against.
 
     A builder may read horizon only to validate: a run's first t rounds must
     not depend on it. estimate_query_complexity relies on this when it reads
     the success rate at a shorter horizon off a longer probe's rounds.
     """
-    _ALGORITHMS[name] = _AlgorithmEntry(build=build, kind=kind, deterministic=deterministic)
+    _ALGORITHM_BUILDERS[name] = build
 
 
 def register_adversary(name, build) -> None:
@@ -160,17 +157,8 @@ def _registered(registry: dict, spec: ComponentSpec, role: str):
         raise ValidationError(f"unknown {role} {spec.name!r}; registered: {sorted(registry)}")
 
 
-def algorithm_kind(spec: AlgorithmSpec) -> str:
-    entry = _registered(_ALGORITHMS, spec, "algorithm")
-    return entry.kind(spec.params) if callable(entry.kind) else entry.kind
-
-
-def algorithm_is_deterministic(spec: AlgorithmSpec) -> bool:
-    return _registered(_ALGORITHMS, spec, "algorithm").deterministic
-
-
 def build_algorithm(spec: AlgorithmSpec, n: int, horizon: int, rng) -> OnlineAlgorithm:
-    return _registered(_ALGORITHMS, spec, "algorithm").build(spec.params, n, horizon, rng)
+    return _registered(_ALGORITHM_BUILDERS, spec, "algorithm")(spec.params, n, horizon, rng)
 
 
 def build_adversary(spec: AdversarySpec, n: int, horizon: int, rng) -> Adversary:
@@ -277,21 +265,13 @@ def _build_boosted(params, n, horizon, rng):
     )
 
 
-def _boosted_kind(params) -> str:
-    return algorithm_kind(_as_spec(params.get("inner", "meanest"), "algorithm"))
-
-
-register_algorithm("cdfest", _build_cdfest, "cdf")
-register_algorithm("meanest", _build_meanest, "mean")
-register_algorithm("stochastic-cdf", _build_stochastic_cdf, "cdf")
-register_algorithm("quantile", _build_quantile, "quantile")
-register_algorithm("boosted", _build_boosted, _boosted_kind)
-register_algorithm(
-    "midpoint", lambda p, n, horizon, rng: est_mod.MidpointBaseline(n), "median", deterministic=True
-)
-register_algorithm(
-    "halving", lambda p, n, horizon, rng: est_mod.HalvingBaseline(n), "median", deterministic=True
-)
+register_algorithm("cdfest", _build_cdfest)
+register_algorithm("meanest", _build_meanest)
+register_algorithm("stochastic-cdf", _build_stochastic_cdf)
+register_algorithm("quantile", _build_quantile)
+register_algorithm("boosted", _build_boosted)
+register_algorithm("midpoint", lambda p, n, horizon, rng: est_mod.MidpointBaseline(n))
+register_algorithm("halving", lambda p, n, horizon, rng: est_mod.HalvingBaseline(n))
 
 
 # Built-in adversaries.
@@ -407,7 +387,6 @@ class GameConfig:
     algorithm: AlgorithmSpec | str
     adversary: AdversarySpec | str
     metric: str | None = None
-    tau: float | None = None
     seed: int = 0
     anytime: bool = False
     burn_in: int = 0
@@ -417,54 +396,59 @@ class GameConfig:
         self.adversary = _as_spec(self.adversary, "adversary")
 
 
+def _metric_of(config: GameConfig, alg: OnlineAlgorithm) -> tuple[str, float]:
+    """(metric, tau) that scores config's games, read off one of its built algorithms."""
+    kind = alg.kind
+    metric = config.metric or kind
+    if metric not in _COMPATIBLE_METRICS[kind]:
+        raise ValidationError(
+            f"metric {metric!r} is incompatible with a {kind!r}-kind algorithm"
+        )
+    if metric != "quantile":
+        return metric, 0.5
+    tau = getattr(alg, "tau", None)
+    if tau is None:
+        raise ValidationError("quantile metric needs tau")
+    return metric, float(tau)
+
+
 def resolve_metric(config: GameConfig) -> tuple[str, float]:
-    """Validate the config shape and return (metric, tau) for scoring."""
+    """Check the config's shape and return (metric, tau) for scoring.
+
+    Builds run 0's algorithm to read its kind and, for the quantile metric,
+    its tau, so a builder's error surfaces here too.
+    """
+    return _metric_of(config, _build_algorithm(config, 0)[0])
+
+
+def validate_config(config: GameConfig) -> None:
+    """Check a config's shape and metric, and run the builders' checks on run 0's sides.
+
+    Both sides of run 0 are built once; the metric is read off the algorithm.
+    An amplified adversary builds only its first segment here. Later segments
+    are built mid-game, and one that fails then (a sequence too short for it)
+    fails both engines alike with the builder's error.
+    """
+    _metric_of(config, _build_sides(config, 0)[0])
+
+
+def _build_algorithm(config: GameConfig, run_id: int):
+    """(algorithm, algorithm rng) of one run, built once the config's shape is checked."""
     if config.n < 2:
         raise ValidationError(f"n must be >= 2, got {config.n}")
     if config.horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {config.horizon}")
     if not 0 <= config.burn_in < config.horizon:
         raise ValidationError(f"burn_in must lie in [0, horizon), got {config.burn_in}")
-    if config.seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {config.seed}")
-    kind = algorithm_kind(config.algorithm)
-    metric = config.metric or kind
-    if metric not in _COMPATIBLE_METRICS[kind]:
-        raise ValidationError(
-            f"metric {metric!r} is incompatible with a {kind!r}-kind algorithm"
-        )
-    if metric == "quantile":
-        tau = config.tau
-        if tau is None:
-            tau = _param(config.algorithm.name, config.algorithm.params, "tau", float)
-        if tau is None:
-            raise ValidationError("quantile metric needs tau")
-        tau = float(tau)
-        if not 0.0 <= tau <= 1.0:
-            raise ValidationError(f"tau must lie in [0, 1], got {tau}")
-    else:
-        tau = 0.5
-    return metric, tau
-
-
-def validate_config(config: GameConfig) -> None:
-    """Check a config's shape and metric, and run the builders' checks on run 0's sides.
-
-    An amplified adversary builds only its first segment here. Later segments
-    are built mid-game, and one that fails then (a sequence too short for it)
-    fails both engines alike with the builder's error.
-    """
-    resolve_metric(config)
-    _build_sides(config, 0)
+    alg_rng = derive_rng(config.seed, run_id, ROLE_ALGORITHM)
+    return build_algorithm(config.algorithm, config.n, config.horizon, alg_rng), alg_rng
 
 
 def _build_sides(config: GameConfig, run_id: int):
     """(algorithm, adversary, algorithm rng) of one run, on the run's rng lanes."""
-    alg_rng = derive_rng(config.seed, run_id, ROLE_ALGORITHM)
+    alg, alg_rng = _build_algorithm(config, run_id)
     adv_rng = derive_rng(config.seed, run_id, ROLE_ADVERSARY)
-    alg = build_algorithm(config.algorithm, config.n, config.horizon, alg_rng)
-    adversary = build_adversary(config.adversary, config.n, config.horizon, adv_rng)
-    return alg, adversary, alg_rng
+    return alg, build_adversary(config.adversary, config.n, config.horizon, adv_rng), alg_rng
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +462,9 @@ def run_game(config: GameConfig, run_id: int = 0) -> Trajectory:
     t-1 only; determinism is total given (seed, run_id). Contract violations
     raise ProtocolError naming the offender and the round.
     """
-    metric, tau = resolve_metric(config)
-    return _play(config, metric, tau, *_build_sides(config, run_id), True, False)[2]
+    alg, adversary, alg_rng = _build_sides(config, run_id)
+    metric, tau = _metric_of(config, alg)
+    return _play(config, metric, tau, alg, adversary, alg_rng, True)[2]
 
 
 class _PlayedRounds(Sequence):
@@ -516,7 +501,7 @@ class _PlayedRounds(Sequence):
         )
 
 
-def _play(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool, index_stats: bool):
+def _play(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool):
     """The round loop: _replay's result for any pair of sides, played round by round.
 
     Every round is checked as it is played, so a query, sample or index
@@ -526,7 +511,7 @@ def _play(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool, i
     algorithm, else the scalar estimate), and _score_run scores full blocks.
     """
     n, horizon = config.n, config.horizon
-    kind = algorithm_kind(config.algorithm)
+    kind = alg.kind
     queries, samples, feedback = (np.empty(horizon, dtype=np.int64) for _ in range(3))
     history = _PlayedRounds(queries, samples, feedback)
     block = _block_rows(metric, n)
@@ -558,9 +543,7 @@ def _play(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool, i
             if r == block - 1 or t == horizon:
                 yield i - r, rows[: r + 1]
 
-    return _score_run(
-        config, metric, tau, alg, queries, samples, feedback, blocks(), keep_trajectory, index_stats
-    )
+    return _score_run(config, metric, tau, alg, queries, samples, feedback, blocks(), keep_trajectory)
 
 
 def _block_rows(metric: str, n: int, copies: int = 1) -> int:
@@ -610,15 +593,13 @@ def _score_block(
     return errs, med
 
 
-def _score_run(
-    config, metric, tau, alg, queries, samples, feedback, blocks, keep_trajectory, index_stats
-):
+def _score_run(config, metric, tau, alg, queries, samples, feedback, blocks, keep_trajectory):
     """(errors, squared final index errors or None, Trajectory or None) of one run.
 
     blocks yields (lo, est) for consecutive blocks, once their samples are in
     place: est holds the estimates of rounds lo+1 .. lo+len(est) as
-    _score_block takes them, in a buffer the next block may overwrite.
-    index_stats asks for the final CDF's index errors.
+    _score_block takes them, in a buffer the next block may overwrite. The
+    final CDF's index errors are computed for a CDF-kind algorithm only.
     """
     n, horizon = config.n, config.horizon
     counts = np.zeros(n + 2, dtype=np.int64)
@@ -635,7 +616,7 @@ def _score_run(
             estimates[lo:hi] = block_estimates
     final = alg.snapshot()
     idx_sq = None
-    if index_stats:
+    if alg.kind == "cdf":
         diff = final.values - np.cumsum(counts) / horizon
         idx_sq = diff * diff
     if not keep_trajectory:
@@ -702,7 +683,7 @@ class MonteCarloSummary:
     index_mse_stderr: np.ndarray | None
 
 
-def _new_partial(horizon: int, n: int, epsilon, index_stats: bool) -> dict:
+def _new_partial(horizon: int, n: int, epsilon, cdf_kind: bool) -> dict:
     return {
         "sum_err": np.zeros(horizon),
         "sum_sq": np.zeros(horizon),
@@ -711,8 +692,8 @@ def _new_partial(horizon: int, n: int, epsilon, index_stats: bool) -> dict:
         # round burn_in+1 is round f+1; first_fail[horizon]: runs with none
         "first_fail": np.zeros(horizon + 1, dtype=np.int64) if epsilon is not None else None,
         "finals": [],
-        "idx_sum": np.zeros(n + 2) if index_stats else None,
-        "idx_sumsq": np.zeros(n + 2) if index_stats else None,
+        "idx_sum": np.zeros(n + 2) if cdf_kind else None,
+        "idx_sumsq": np.zeros(n + 2) if cdf_kind else None,
     }
 
 
@@ -736,7 +717,7 @@ def _first_outside(values: np.ndarray, top: int) -> int:
     return int(bad[0]) if bad.size else len(values)
 
 
-def _replay(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool, index_stats: bool):
+def _replay(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool):
     """_play's result for a run whose sides have batch methods, computed as arrays.
 
     The run's queries, samples and feedback are drawn for the whole horizon
@@ -761,9 +742,7 @@ def _replay(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool,
         (lo, alg.estimate_batch(queries[lo : lo + block], feedback[lo : lo + block]))
         for lo in range(0, horizon, block)
     )
-    return _score_run(
-        config, metric, tau, alg, queries, samples, feedback, blocks, keep_trajectory, index_stats
-    )
+    return _score_run(config, metric, tau, alg, queries, samples, feedback, blocks, keep_trajectory)
 
 
 def _chunk_worker(args) -> dict:
@@ -783,21 +762,20 @@ def _chunk_worker(args) -> dict:
     here, so only text crosses the pool).
     """
     config, lo, hi, epsilon, export = args
-    metric, tau = resolve_metric(config)
-    kind = algorithm_kind(config.algorithm)
-    index_stats = kind == "cdf"
-    partial = _new_partial(config.horizon, config.n, epsilon, index_stats)
     exported = []
     for run in range(lo, hi):
         alg, adversary, alg_rng = _build_sides(config, run)
+        if run == lo:  # every run's algorithm is of one kind
+            metric, tau = _metric_of(config, alg)
+            partial = _new_partial(config.horizon, config.n, epsilon, alg.kind == "cdf")
         replayable = (
-            kind in ("cdf", "mean", "quantile")
+            alg.kind in ("cdf", "mean", "quantile")
             and hasattr(alg, "query_batch")
             and hasattr(alg, "estimate_batch")
             and hasattr(adversary, "sample_batch")
         )
         errs, idx_sq, trajectory = (_replay if replayable else _play)(
-            config, metric, tau, alg, adversary, alg_rng, bool(export), index_stats
+            config, metric, tau, alg, adversary, alg_rng, bool(export)
         )
         if export:
             exported.append(export(run, trajectory))
@@ -849,7 +827,6 @@ def monte_carlo(
             raise ValidationError("monte_carlo takes a sink or an export, not both")
         _export = (_run_and_trajectory, lambda pair: sink(*pair))
     metric, tau = resolve_metric(config)
-    index_stats = algorithm_kind(config.algorithm) == "cdf"
     export, receive = _export or (False, None)
     jobs = [
         (config, lo, min(lo + CHUNK_RUNS, runs), epsilon, export)
@@ -865,14 +842,14 @@ def monte_carlo(
                 receive(item)
             partials.append(part)
 
-    combined = _new_partial(config.horizon, config.n, epsilon, index_stats)
-    for part in partials:  # fixed chunk order keeps float sums reproducible
+    combined, *rest = partials
+    for part in rest:  # fixed chunk order keeps float sums reproducible
         for key, value in part.items():
             if value is not None:
                 combined[key] += value
 
     index_mse = index_stderr = None
-    if index_stats:
+    if combined["idx_sum"] is not None:  # a CDF-kind algorithm
         index_mse = combined["idx_sum"] / runs
         var = combined["idx_sumsq"] / runs - index_mse**2
         index_stderr = np.sqrt(np.maximum(var, 0.0) / runs)
@@ -945,6 +922,8 @@ def estimate_query_complexity(
         raise ValidationError(f"target must lie in (0, 1], got {target}")
     if runs < 200:
         raise ValidationError(f"need >= 200 runs to resolve a {target} success rate, got {runs}")
+    if t_cap < 1:
+        raise ValidationError(f"t_cap must be >= 1, got {t_cap}")
     rates: dict[int, float] = {}
     longest: MonteCarloSummary | None = None
 
@@ -1145,12 +1124,12 @@ def breaker_report(algorithm, n: int, horizon: int) -> BreakerReport:
     from .core import empirical_cdf, quantile_error
 
     spec = _as_spec(algorithm, "algorithm")
-    if not algorithm_is_deterministic(spec):
-        raise ValidationError(f"algorithm {spec.name!r} is not registered as deterministic")
-    if algorithm_kind(spec) != "median":
-        raise ValidationError(f"breaker needs a median-kind baseline, got {algorithm_kind(spec)!r}")
-
     factory = lambda: build_algorithm(spec, n, horizon, derive_rng(0, 0, ROLE_ALGORITHM))
+    baseline = factory()
+    if not baseline.deterministic:
+        raise ValidationError(f"algorithm {spec.name!r} is not deterministic")
+    if baseline.kind != "median":
+        raise ValidationError(f"breaker needs a median-kind baseline, got {baseline.kind!r}")
     pair = adv_mod.build_breaker_pair(factory, n, horizon)
 
     def replay(samples):

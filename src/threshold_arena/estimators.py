@@ -37,12 +37,16 @@ CoinOracle = Callable[[int, Optional[np.random.Generator]], int]
 class OnlineAlgorithm:
     """Base class enforcing the strict next_query / observe alternation.
 
-    Subclasses implement _query(rng) and _ingest(query, feedback). The public
+    Subclasses implement _query(rng) and _ingest(query, feedback), and set
+    kind, the estimate snapshot() returns: "cdf", "mean", "median" or
+    "quantile" (a quantile-kind instance also sets tau). A subclass whose
+    queries and estimates never depend on the rng sets deterministic = True;
+    the breaker construction is refused to any other. The public
     ingest(query, feedback) is also usable directly to replay an offline
     (query, feedback) log without touching the rng.
     """
 
-    kind = "median"
+    deterministic = False
 
     def __init__(self, n: int):
         if n < 1:
@@ -231,8 +235,10 @@ def search_budget(n: int) -> int:
     return int(math.ceil(SEARCH_BUDGET_SCALE * math.log2(n + 2)))
 
 
-def _quantile_search(n: int, tau: float, budget: int):
+def _quantile_search(n: int, tau: float, budget: int | None = None):
     """Generator core of the search: yields coin indices, receives bits.
+
+    budget defaults to search_budget(n); the first step rejects one below 1.
 
     Maintains one weight per candidate interval m in {0..n} (crossing between
     coin m and coin m+1, with virtual endpoint biases 0 and 1). Each step
@@ -255,6 +261,10 @@ def _quantile_search(n: int, tau: float, budget: int):
     floating-point operation on the weights is the same as in the plain
     loop, so results are unchanged bit for bit.
     """
+    if budget is None:
+        budget = search_budget(n)
+    elif budget < 1:
+        raise ValidationError(f"budget must be >= 1, got {budget}")
     weights = np.full(n + 1, 1.0 / (n + 1))
     csum = np.empty_like(weights)
     up = 1.0 + SEARCH_WEIGHT_ETA
@@ -335,12 +345,10 @@ def noisy_binary_search(
         raise ValidationError(f"n must be >= 1, got {n}")
     if not 0.0 <= tau <= 1.0:
         raise ValidationError(f"tau must lie in [0, 1], got {tau}")
-    if budget is None:
-        budget = search_budget(n)
     return _drive(_quantile_search(n, tau, budget), coin_oracle, rng)
 
 
-def _boost_pipeline(n: int, tau: float, trials: int, budget: int):
+def _boost_pipeline(n: int, tau: float, trials: int, budget: int | None):
     """Generator: runs `trials` searches back to back, votes by lower median.
 
     The good anchor set {w : dist([F(w-1), F(w)], tau) <= 1/8} is an interval
@@ -382,8 +390,6 @@ def boosted_quantile(
         raise ValidationError(f"tau must lie in [0, 1], got {tau}")
     if trials < 1 or trials % 2 == 0:
         raise ValidationError(f"trials must be a positive odd count, got {trials}")
-    if budget is None:
-        budget = search_budget(n)
     return _drive(_boost_pipeline(n, tau, trials, budget), comparison_oracle, rng)
 
 
@@ -413,7 +419,7 @@ class StochasticCdfResult:
     capped: bool  # some anchor had every trial capped
 
 
-def _anchor_pipeline(n: int, trials: int, budget: int, out: dict):
+def _anchor_pipeline(n: int, trials: int, budget: int | None, out: dict):
     """Generator: boosted anchor per tau in ANCHOR_TAUS, filling `out` as it goes.
 
     Its first step rejects a trials below 1, which would leave each anchor
@@ -439,8 +445,6 @@ def stochastic_cdf(
     sup_i |F_hat(i) - F(i)| <= 1/4 with probability at least 3/4, using at
     most 8 * trials * budget oracle calls.
     """
-    if budget is None:
-        budget = search_budget(n)
     anchors: dict[float, QuantileEstimate] = {}
     _drive(_anchor_pipeline(n, trials, budget, anchors), comparison_oracle, rng)
     estimate = stitch_quantile_anchors({tau: qe.index for tau, qe in anchors.items()}, n)
@@ -464,15 +468,10 @@ class StochasticCdf(OnlineAlgorithm):
 
     def __init__(self, n: int, trials: int = BOOST_TRIALS, budget: int | None = None):
         super().__init__(n)
-        if budget is None:
-            budget = search_budget(n)
         self._anchors: dict[float, QuantileEstimate] = {}
         self._gen = _anchor_pipeline(n, trials, budget, self._anchors)
         self._done = False
-        try:
-            self._pending = next(self._gen)
-        except StopIteration:
-            self._done = True
+        self._pending = next(self._gen)  # a search with budget >= 1 queries at least once
 
     def _query(self, rng: np.random.Generator) -> int:
         if self._done:
@@ -698,6 +697,7 @@ class MidpointBaseline(OnlineAlgorithm):
     """Queries round-robin over {1..n} and always estimates n // 2."""
 
     kind = "median"
+    deterministic = True
 
     def _query(self, rng: np.random.Generator) -> int:
         return (self.t % self.n) + 1
@@ -718,6 +718,7 @@ class HalvingBaseline(OnlineAlgorithm):
     """
 
     kind = "median"
+    deterministic = True
 
     def __init__(self, n: int):
         super().__init__(n)

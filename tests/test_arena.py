@@ -10,8 +10,8 @@ from threshold_arena import (
     ProtocolError,
     AlgorithmSpec,
     GameConfig,
+    NondeterminismError,
     ValidationError,
-    algorithm_kind,
     breaker_report,
     build_adversary,
     derive_rng,
@@ -25,7 +25,7 @@ from threshold_arena import (
     validate_config,
     write_trajectory_csv,
 )
-from threshold_arena import CdfEst, StochasticCdf, empirical_cdf, ks_distance, median_from_cdf
+from threshold_arena import CdfEst, CdfEstimate, StochasticCdf, empirical_cdf, ks_distance, median_from_cdf
 from threshold_arena.adversaries import Adversary
 from threshold_arena.arena import ROLE_ADVERSARY, ROLE_ALGORITHM, CHUNK_RUNS
 from threshold_arena.estimators import MidpointBaseline
@@ -208,7 +208,7 @@ def test_out_of_range_query_blames_algorithm():
         def snapshot(self):
             return 1
 
-    register_algorithm("rogue-query", lambda p, n, h, rng: _Rogue(n), "median")
+    register_algorithm("rogue-query", lambda p, n, h, rng: _Rogue(n))
     config = GameConfig(n=4, horizon=2, algorithm="rogue-query", adversary="uniform", seed=1)
     with pytest.raises(ProtocolError, match="algorithm at round 1"):
         run_game(config)
@@ -230,7 +230,7 @@ def test_out_of_range_estimate_blames_algorithm():
         def snapshot(self):
             return self.n + 9
 
-    register_algorithm("rogue-estimate", lambda p, n, h, rng: _RogueEstimate(n), "median")
+    register_algorithm("rogue-estimate", lambda p, n, h, rng: _RogueEstimate(n))
     config = GameConfig(n=4, horizon=2, algorithm="rogue-estimate", adversary="uniform", seed=1)
     with pytest.raises(ProtocolError, match="outside"):
         run_game(config)
@@ -282,7 +282,7 @@ def test_engines_reject_out_of_range_batches_alike(query_round, sample_round, me
     import threshold_arena.arena as arena_mod
     from threshold_arena import register_adversary, register_algorithm
 
-    register_algorithm("bad-query", lambda p, n, h, rng: _QueryOutOfRange(n, p["round"]), "cdf")
+    register_algorithm("bad-query", lambda p, n, h, rng: _QueryOutOfRange(n, p["round"]))
     register_adversary("bad-sample", lambda p, n, h, rng: _SampleOutOfRange(n, p["round"]))
     algorithm = AlgorithmSpec("bad-query", {"round": query_round}) if query_round else "cdfest"
     adversary = AdversarySpec("bad-sample", {"round": sample_round}) if sample_round else "uniform"
@@ -327,18 +327,19 @@ class _CdfNotReady(StochasticCdf):
 
 
 @pytest.mark.parametrize(
-    "cls,kind,message",
+    "cls,message",
     [
-        (_IndexOutOfRange, "median", "algorithm at round 7: index estimate 18 outside 1..17"),
-        (_MedianNotReady, "median", "algorithm at round 5: estimate not ready"),
-        (_CdfNotReady, "cdf", "algorithm at round 5: estimate not ready"),
+        (_IndexOutOfRange, "algorithm at round 7: index estimate 18 outside 1..17"),
+        (_MedianNotReady, "algorithm at round 5: estimate not ready"),
+        (_CdfNotReady, "algorithm at round 5: estimate not ready"),
     ],
+    ids=["index-out-of-range", "median-not-ready", "cdf-not-ready"],
 )
-def test_round_loop_reports_a_bad_estimate_at_its_round(cls, kind, message):
+def test_round_loop_reports_a_bad_estimate_at_its_round(cls, message):
     from threshold_arena import register_algorithm
 
     # n=16: rounds 5 and 7 lie inside the first scoring block (910 rows)
-    register_algorithm("bad-estimate", lambda p, n, h, rng: cls(n), kind)
+    register_algorithm("bad-estimate", lambda p, n, h, rng: cls(n))
     config = GameConfig(n=16, horizon=50, algorithm="bad-estimate", adversary="uniform", seed=1)
     for call in (lambda: run_game(config), lambda: monte_carlo(config, 2)):
         _IndexOutOfRange.queried = []
@@ -516,7 +517,7 @@ class TestMonteCarlo:
         fast = monte_carlo(config, runs, epsilon=0.3)
         # reference: the round loop, summed in the same chunks and order
         games = [run_game(config, run_id=r) for r in range(runs)]
-        idx = algorithm_kind(config.algorithm) == "cdf"
+        idx = isinstance(games[0].final_snapshot, CdfEstimate)
 
         def squared(x):
             return x * x
@@ -661,6 +662,8 @@ class TestMonteCarlo:
             "uniform",
             "stochastic-cdf parameter budget must be an integer, got 'x'",
         ),
+        (AlgorithmSpec("stochastic-cdf", {"budget": 0}), "uniform", "budget must be >= 1, got 0"),
+        (AlgorithmSpec("stochastic-cdf", {"budget": -5}), "uniform", "budget must be >= 1, got -5"),
         (AlgorithmSpec("boosted", {"delta": "abc"}), "uniform", "boosted parameter delta must be a number, got 'abc'"),
         (
             AlgorithmSpec("boosted", {"delta": 0.1, "copies": 2.5}),
@@ -682,6 +685,7 @@ class TestMonteCarlo:
         "cdf-lb-sigma-text-entry", "median-lb-k-text", "median-lb-epsilon-text", "amplified-t0-text",
         "sequence-missing-file", "sequence-float-sample",
         "stochastic-cdf-trials-0", "stochastic-cdf-trials-float", "stochastic-cdf-budget-text",
+        "stochastic-cdf-budget-0", "stochastic-cdf-budget-negative",
         "boosted-delta-text", "boosted-copies-float", "boosted-copies-text", "quantile-tau-text",
     ],
 )
@@ -790,7 +794,7 @@ def test_median_kind_batch_methods_take_the_round_loop():
         def estimate_batch(self, queries, feedback):
             return np.full(len(queries), max(1, self.n // 2), dtype=np.int64)
 
-    register_algorithm("batch-midpoint", lambda p, n, h, rng: _BatchMidpoint(n), "median")
+    register_algorithm("batch-midpoint", lambda p, n, h, rng: _BatchMidpoint(n))
     config = GameConfig(n=8, horizon=10, algorithm="batch-midpoint", adversary="uniform", seed=3)
     summary = monte_carlo(config, 4, epsilon=0.2)
     games = [run_game(config, run_id=r) for r in range(4)]
@@ -1019,6 +1023,12 @@ class TestQueryComplexity:
         with pytest.raises(ValidationError, match="200"):
             estimate_query_complexity(config, 0.25, runs=100)
 
+    @pytest.mark.parametrize("t_cap", [0, -5])
+    def test_cap_below_one_rejected(self, t_cap):
+        config = GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=8)
+        with pytest.raises(ValidationError, match=f"t_cap must be >= 1, got {t_cap}"):
+            estimate_query_complexity(config, 0.2, runs=200, t_cap=t_cap)
+
     def test_cap_reported_unresolved(self):
         config = GameConfig(
             n=64, horizon=1, algorithm="cdfest", adversary="coin", metric="median", seed=8
@@ -1155,3 +1165,55 @@ class TestBreakerReport:
     def test_rejects_randomized_algorithms(self):
         with pytest.raises(ValidationError, match="deterministic"):
             breaker_report("cdfest", 16, 160)
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            AlgorithmSpec("boosted", {"delta": 0.2, "inner": "halving"}),
+            AlgorithmSpec("quantile", {"tau": 0.5, "inner": "halving"}),
+        ],
+        ids=["boosted-halving", "quantile-halving"],
+    )
+    def test_rejects_wrappers_around_a_deterministic_baseline(self, algorithm):
+        # a wrapper is not deterministic, whatever it wraps
+        with pytest.raises(ValidationError, match="deterministic"):
+            breaker_report(algorithm, 16, 160)
+
+    def test_a_baseline_that_claims_determinism_and_draws_is_caught(self):
+        with pytest.raises(NondeterminismError):
+            breaker_report(_register_drawing_midpoint(), 16, 160)
+
+
+class _DrawingMidpoint(MidpointBaseline):
+    """Claims determinism, as MidpointBaseline does, but queries off the rng."""
+
+    def _query(self, rng):
+        return int(rng.integers(1, self.n + 1))
+
+
+def _register_drawing_midpoint() -> str:
+    from threshold_arena import register_algorithm
+
+    register_algorithm("drawing-midpoint", lambda p, n, h, rng: _DrawingMidpoint(n))
+    return "drawing-midpoint"
+
+
+def test_facts_are_read_off_algorithms_built_where_needed():
+    from threshold_arena import register_algorithm
+
+    built = []
+
+    def counting(params, n, horizon, rng):
+        built.append(n)
+        return CdfEst(n)
+
+    register_algorithm("counted-cdfest", counting)
+    config = GameConfig(n=8, horizon=20, algorithm="counted-cdfest", adversary="uniform", seed=3)
+    monte_carlo(config, 70, workers=1)
+    assert len(built) == 71  # one per run, and run 0's in the parent
+    built.clear()
+    run_game(config)
+    assert len(built) == 1
+    built.clear()
+    validate_config(config)
+    assert len(built) == 1

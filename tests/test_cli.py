@@ -17,12 +17,14 @@ from threshold_arena import (
     GameConfig,
     Trajectory,
     register_adversary,
+    register_algorithm,
     run_game,
     write_trajectory_csv,
 )
 from threshold_arena.adversaries import Adversary, save_sample_sequence
 from threshold_arena.arena import trajectory_csv_header, trajectory_csv_text
 from threshold_arena.cli import main, parse_component
+from threshold_arena.estimators import MidpointBaseline
 
 
 class TestSpecParsing:
@@ -167,6 +169,15 @@ class TestBreaker:
     def test_randomized_baseline_rejected(self, capsys):
         assert main(["breaker", "--baseline", "cdfest", "--n", "16", "--T", "160"]) == 2
 
+    def test_baseline_that_draws_exits_3(self, capsys):
+        class _DrawingMidpoint(MidpointBaseline):  # claims determinism, queries off the rng
+            def _query(self, rng):
+                return int(rng.integers(1, self.n + 1))
+
+        register_algorithm("drawing-midpoint", lambda p, n, h, rng: _DrawingMidpoint(n))
+        assert main(["breaker", "--baseline", "drawing-midpoint", "--n", "16", "--T", "160"]) == 3
+        assert "protocol violation" in capsys.readouterr().err
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"
         fields = {"baseline": "halving", "n": 16, "T": 160, "out_dir": str(tmp_path / "file")}
@@ -278,6 +289,7 @@ _MALFORMED_PARAMETERS = {
     "stochastic-cdf-trials-0": (["--algo", "stochastic-cdf:trials=0", "--adv", "uniform"], "trials"),
     "stochastic-cdf-trials-float": (["--algo", "stochastic-cdf:trials=2.5", "--adv", "uniform"], "trials"),
     "stochastic-cdf-budget-text": (["--algo", "stochastic-cdf:budget=x", "--adv", "uniform"], "budget"),
+    "stochastic-cdf-budget-negative": (["--algo", "stochastic-cdf:budget=-5", "--adv", "uniform"], "budget"),
     "boosted-delta-text": (["--algo", "boosted:delta=abc", "--adv", "uniform"], "delta"),
     "boosted-copies-float": (["--algo", "boosted:delta=0.1,copies=2.5", "--adv", "uniform"], "copies"),
     "boosted-copies-text": (["--algo", "boosted:delta=0.1,copies=x", "--adv", "uniform"], "copies"),
@@ -413,6 +425,14 @@ class TestComplexity:
             main(argv + ["--out-dir", str(tmp_path / "out")])
         assert exit_.value.code == 2
         assert "argument --n: invalid comma-separated int value: '8,x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_cap", ["0", "-5"])
+    def test_cap_below_one_exits_2(self, tmp_path, capsys, t_cap):
+        code = main(["complexity", "--algo", "cdfest", "--adv", "uniform", "--n", "8",
+                     "--eps", "0.2", "--t-cap", t_cap, "--workers", "1", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert f"t_cap must be >= 1, got {t_cap}" in capsys.readouterr().err
+        assert not (tmp_path / "complexity.json").exists()
 
     def test_unreachable_target_exits_2_before_any_probe(self, tmp_path, capsys, monkeypatch):
         def no_probe(*args, **kwargs):

@@ -75,6 +75,8 @@ class TestNoisyBinarySearch:
             noisy_binary_search(step_oracle(1), 0, 0.5)
         with pytest.raises(ValidationError):
             noisy_binary_search(step_oracle(1), 4, 1.5)
+        with pytest.raises(ValidationError, match="budget must be >= 1, got 0"):
+            noisy_binary_search(step_oracle(1), 4, 0.5, budget=0)
 
 
 class TestBoostedQuantile:
@@ -107,6 +109,10 @@ class TestBoostedQuantile:
     def test_trials_must_be_odd(self):
         with pytest.raises(ValidationError):
             boosted_quantile(step_oracle(1), 4, 0.5, trials=4)
+
+    def test_budget_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="budget must be >= 1, got 0"):
+            boosted_quantile(step_oracle(1), 4, 0.5, budget=0)
 
     def test_capped_propagates_only_when_all_trials_cap(self):
         res = boosted_quantile(step_oracle(3), 8, 0.5, budget=2)
@@ -148,6 +154,10 @@ class TestStochasticCdf:
         for tau, anchor in res.anchors.items():
             assert anchor.index in good_anchors(cdf, tau)
         assert np.max(np.abs(res.estimate.values[1:] - cdf[1:])) <= 0.25
+
+    def test_budget_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="budget must be >= 1, got 0"):
+            stochastic_cdf(step_oracle(1), 4, budget=0)
 
     def test_query_budget_and_anchor_keys(self):
         n = 16
