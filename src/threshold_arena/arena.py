@@ -23,7 +23,11 @@ what they wrap does, and so does the anytime amplifier. Both engines score
 with one kernel (_score_run, _score_block) in blocks of rounds: the round
 loop buffers each round's estimate, the replay takes estimate_batch's rows.
 Either engine yields the same columnar Trajectory, which is what sinks and
-the CSV export consume.
+the CSV export consume. Both engines play a run from round 1 and score it
+from a given start round: Monte Carlo scores every round, and the
+query-complexity search scores only the rounds past its longest probe. Both
+callers run their chunks through one worker (_chunk_worker) and one pool
+map (_run_chunks).
 """
 
 from __future__ import annotations
@@ -464,7 +468,7 @@ def run_game(config: GameConfig, run_id: int = 0) -> Trajectory:
     """
     alg, adversary, alg_rng = _build_sides(config, run_id)
     metric, tau = _metric_of(config, alg)
-    return _play(config, metric, tau, alg, adversary, alg_rng, True)[2]
+    return _play(config, metric, tau, alg, adversary, alg_rng, True, 1)[2]
 
 
 class _PlayedRounds(Sequence):
@@ -501,7 +505,7 @@ class _PlayedRounds(Sequence):
         )
 
 
-def _play(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool):
+def _play(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool, start: int):
     """The round loop: _replay's result for any pair of sides, played round by round.
 
     Every round is checked as it is played, so a query, sample or index
@@ -543,7 +547,9 @@ def _play(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool):
             if r == block - 1 or t == horizon:
                 yield i - r, rows[: r + 1]
 
-    return _score_run(config, metric, tau, alg, queries, samples, feedback, blocks(), keep_trajectory)
+    return _score_run(
+        config, metric, tau, alg, queries, samples, feedback, blocks(), keep_trajectory, start
+    )
 
 
 def _block_rows(metric: str, n: int, copies: int = 1) -> int:
@@ -558,13 +564,18 @@ def _score_block(
 
     counts holds the per-value sample counts of rounds 1..t0 and is advanced
     in place. est holds the algorithm's estimates of the same rounds: means
-    for the mean metric, else CDF rows or a column of indices. Each round's
-    empirical CDF is its running counts over t, so every float operation is
-    the one a whole-horizon pass does, and errors do not depend on how the
-    horizon is cut into blocks. The scalar estimates (the median index for a
-    CDF) are returned when want_estimates, else None. The quantile metric
-    scores the median index of CDF rows against tau: those are the rows of
-    the median estimator inside a quantile wrapper.
+    for the mean metric, else CDF rows or a column of indices. Row r of the
+    running counts holds, for each value v, the samples <= v among rounds
+    1..t0+r+1: one comparison of the block's samples with 0..n+1, summed down
+    the rows, plus the cumulative counts of the rounds before. Each round's
+    empirical CDF is those integers over t, so every float operation is the
+    one a whole-horizon pass does, and errors do not depend on how the
+    horizon is cut into blocks. Only the entries an error reads are divided:
+    values 1..n+1 for the cdf metric, the two around each median index
+    otherwise. The scalar estimates (the median index for a CDF) are
+    returned when want_estimates, else None. The quantile metric scores the
+    median index of CDF rows against tau: those are the rows of the median
+    estimator inside a quantile wrapper.
     """
     rows = len(samples)
     tt = np.arange(t0 + 1, t0 + rows + 1, dtype=np.float64)
@@ -575,42 +586,50 @@ def _score_block(
     # block temporaries are few and accumulated in place: with many small
     # blocks, each freed array is memory the allocator may hand back and
     # fault in again
-    running = np.zeros((rows, n + 2), dtype=np.int64)
-    running[np.arange(rows), samples] = 1
-    running[0] += counts  # carried into every row by the cumulative sum
-    np.cumsum(running, axis=0, out=running)
-    counts[:] = running[-1]
-    f = np.cumsum(running, axis=1, out=running) / tt[:, None]
+    running = np.cumsum(samples[:, None] <= np.arange(n + 2), axis=0, dtype=np.int64)
+    running += np.cumsum(counts)
+    counts += np.bincount(samples, minlength=n + 2)
     med = est if est.ndim == 1 else None  # a column of indices is its own estimate
     if med is None and (metric != "cdf" or want_estimates):
         med = np.argmax(est[:, 1:] > 0.5, axis=1) + 1
     if metric == "cdf":
-        diff = np.subtract(est[:, 1:], f[:, 1:], out=f[:, 1:])
+        f = np.divide(running[:, 1:], tt[:, None])
+        diff = np.subtract(est[:, 1:], f, out=f)
         errs = np.abs(diff, out=diff).max(axis=1)
     else:
         r = np.arange(rows)
-        errs = np.maximum(0.0, np.maximum(f[r, med - 1] - tau, tau - f[r, med]))
+        errs = np.maximum(0.0, np.maximum(running[r, med - 1] / tt - tau, tau - running[r, med] / tt))
     return errs, med
 
 
-def _score_run(config, metric, tau, alg, queries, samples, feedback, blocks, keep_trajectory):
+def _score_run(config, metric, tau, alg, queries, samples, feedback, blocks, keep_trajectory, start):
     """(errors, squared final index errors or None, Trajectory or None) of one run.
 
     blocks yields (lo, est) for consecutive blocks, once their samples are in
     place: est holds the estimates of rounds lo+1 .. lo+len(est) as
-    _score_block takes them, in a buffer the next block may overwrite. The
-    final CDF's index errors are computed for a CDF-kind algorithm only.
+    _score_block takes them, in a buffer the next block may overwrite.
+    Rounds before start are played but not scored: the running counts start
+    from their samples, a block that straddles start is scored from start
+    on, and the errors returned are those of rounds start .. horizon (a
+    trajectory is kept with start 1 only). The final CDF's index errors are
+    computed for a CDF-kind algorithm only.
     """
     n, horizon = config.n, config.horizon
-    counts = np.zeros(n + 2, dtype=np.int64)
-    errs = np.empty(horizon)
+    skipped = start - 1
+    counts = None
+    errs = np.empty(horizon - skipped)
     estimates = None
     if keep_trajectory:
         estimates = np.empty(horizon, dtype=np.float64 if metric == "mean" else np.int64)
     for lo, est in blocks:
         hi = lo + len(est)
-        errs[lo:hi], block_estimates = _score_block(
-            metric, tau, n, counts, lo, samples[lo:hi], est, keep_trajectory
+        if hi <= skipped:
+            continue
+        first = max(lo, skipped)
+        if counts is None:  # the round loop fills samples as it plays them
+            counts = np.bincount(samples[:first], minlength=n + 2)
+        errs[first - skipped : hi - skipped], block_estimates = _score_block(
+            metric, tau, n, counts, first, samples[first:hi], est[first - lo :], keep_trajectory
         )
         if keep_trajectory:
             estimates[lo:hi] = block_estimates
@@ -683,28 +702,38 @@ class MonteCarloSummary:
     index_mse_stderr: np.ndarray | None
 
 
-def _new_partial(horizon: int, n: int, epsilon, cdf_kind: bool) -> dict:
+def _new_partial(rounds: int, n: int, epsilon, cdf_kind: bool) -> dict:
     return {
-        "sum_err": np.zeros(horizon),
-        "sum_sq": np.zeros(horizon),
-        "succ": np.zeros(horizon, dtype=np.int64) if epsilon is not None else None,
-        # first_fail[f]: runs whose first error above epsilon at or after
-        # round burn_in+1 is round f+1; first_fail[horizon]: runs with none
-        "first_fail": np.zeros(horizon + 1, dtype=np.int64) if epsilon is not None else None,
+        "sum_err": np.zeros(rounds),
+        "sum_sq": np.zeros(rounds),
+        "succ": np.zeros(rounds, dtype=np.int64) if epsilon is not None else None,
+        # each run's first failure, as _absorb_run records it, in run order
+        "first_fail": [] if epsilon is not None else None,
         "finals": [],
         "idx_sum": np.zeros(n + 2) if cdf_kind else None,
         "idx_sumsq": np.zeros(n + 2) if cdf_kind else None,
     }
 
 
-def _absorb_run(partial: dict, errs: np.ndarray, epsilon, burn_in: int, idx_sq=None) -> None:
+def _absorb_run(partial: dict, errs, epsilon, burn_in: int, start: int, failed: int, idx_sq) -> None:
+    """Add one run's errors of rounds start .. horizon to a partial.
+
+    A run's first failure is f when round f+1 is its first round past
+    burn_in with error above epsilon, else the horizon. failed is the run's
+    first failure among rounds 1 .. start-1, so start-1 when it had none;
+    a run that has failed keeps its failure.
+    """
     partial["sum_err"] += errs
     partial["sum_sq"] += errs * errs
     if epsilon is not None:
         ok = errs <= epsilon
         partial["succ"] += ok
-        fails = np.flatnonzero(~ok[burn_in:])
-        partial["first_fail"][burn_in + fails[0] if fails.size else len(errs)] += 1
+        skipped = start - 1
+        if failed >= skipped:
+            late = max(burn_in - skipped, 0)
+            fails = np.flatnonzero(~ok[late:])
+            failed = skipped + (late + int(fails[0]) if fails.size else len(errs))
+        partial["first_fail"].append(failed)
     partial["finals"].append(errs[-1])
     if idx_sq is not None:
         partial["idx_sum"] += idx_sq
@@ -717,7 +746,7 @@ def _first_outside(values: np.ndarray, top: int) -> int:
     return int(bad[0]) if bad.size else len(values)
 
 
-def _replay(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool):
+def _replay(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool, start: int):
     """_play's result for a run whose sides have batch methods, computed as arrays.
 
     The run's queries, samples and feedback are drawn for the whole horizon
@@ -742,7 +771,9 @@ def _replay(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool)
         (lo, alg.estimate_batch(queries[lo : lo + block], feedback[lo : lo + block]))
         for lo in range(0, horizon, block)
     )
-    return _score_run(config, metric, tau, alg, queries, samples, feedback, blocks, keep_trajectory)
+    return _score_run(
+        config, metric, tau, alg, queries, samples, feedback, blocks, keep_trajectory, start
+    )
 
 
 def _chunk_worker(args) -> dict:
@@ -756,18 +787,22 @@ def _chunk_worker(args) -> dict:
     _score_run on the same values, so errors, estimates and trajectories
     are bit-identical.
 
+    Every run is played from round 1 and scored from round start; failed
+    holds each run's first failure before start (see _absorb_run), and the
+    partial's arrays cover rounds start .. horizon.
+
     export is falsy, or a picklable function of (run_id, Trajectory): the
     chunk then keeps each run's trajectory and ships export's results in run
     order under "exported" (the CLI's exporter formats the run's CSV text
     here, so only text crosses the pool).
     """
-    config, lo, hi, epsilon, export = args
+    config, lo, hi, epsilon, export, start, failed = args
     exported = []
-    for run in range(lo, hi):
+    for run, failed_before in zip(range(lo, hi), failed):
         alg, adversary, alg_rng = _build_sides(config, run)
         if run == lo:  # every run's algorithm is of one kind
             metric, tau = _metric_of(config, alg)
-            partial = _new_partial(config.horizon, config.n, epsilon, alg.kind == "cdf")
+            partial = _new_partial(config.horizon - start + 1, config.n, epsilon, alg.kind == "cdf")
         replayable = (
             alg.kind in ("cdf", "mean", "quantile")
             and hasattr(alg, "query_batch")
@@ -775,14 +810,45 @@ def _chunk_worker(args) -> dict:
             and hasattr(adversary, "sample_batch")
         )
         errs, idx_sq, trajectory = (_replay if replayable else _play)(
-            config, metric, tau, alg, adversary, alg_rng, bool(export)
+            config, metric, tau, alg, adversary, alg_rng, bool(export), start
         )
         if export:
             exported.append(export(run, trajectory))
-        _absorb_run(partial, errs, epsilon, config.burn_in, idx_sq)
+        _absorb_run(partial, errs, epsilon, config.burn_in, start, failed_before, idx_sq)
     if export:
         partial["exported"] = exported
     return partial
+
+
+def _run_chunks(config, runs, epsilon, workers, pool, start, failed, export=False, receive=None) -> dict:
+    """The partial of runs 0 .. runs-1, reduced in a fixed chunk order.
+
+    Each chunk of CHUNK_RUNS runs goes to _chunk_worker with start and its
+    runs' entries of failed. With workers > 1 the chunks run on pool, or on
+    a pool opened for this call when pool is None; receive gets each
+    chunk's exported results in run order.
+    """
+    jobs = [
+        (config, lo, min(lo + CHUNK_RUNS, runs), epsilon, export, start, failed[lo : lo + CHUNK_RUNS])
+        for lo in range(0, runs, CHUNK_RUNS)
+    ]
+    partials = []
+    with contextlib.ExitStack() as stack:
+        if workers > 1 and len(jobs) > 1:
+            pool = pool or stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+        else:
+            pool = None
+        for part in (pool.map if pool else map)(_chunk_worker, jobs):
+            for item in part.pop("exported", ()):
+                receive(item)
+            partials.append(part)
+
+    combined, *rest = partials
+    for part in rest:  # fixed chunk order keeps float sums reproducible
+        for key, value in part.items():
+            if value is not None:
+                combined[key] += value
+    return combined
 
 
 def _run_and_trajectory(run_id: int, trajectory: Trajectory) -> tuple[int, Trajectory]:
@@ -797,7 +863,6 @@ def monte_carlo(
     workers: int = 1,
     sink: Callable[[int, Trajectory], None] | None = None,
     *,
-    _pool: ProcessPoolExecutor | None = None,
     _export: tuple[Callable[[int, Trajectory], Any], Callable[[Any], None]] | None = None,
 ) -> MonteCarloSummary:
     """Aggregate `runs` independent seeded games of one config.
@@ -809,8 +874,7 @@ def monte_carlo(
     (run_id, Trajectory) in run order; the vectorized replay and the round
     loop build equal trajectories, so a sink does not change the engine.
     A replayed run needs O(T) memory for its columns plus a fixed block of
-    estimate cells, not O(T*n). _pool lends an open pool to use in place of
-    a new one (estimate_query_complexity holds one for all its probes).
+    estimate cells, not O(T*n).
 
     _export=(export, receive) is the export channel a sink is built on:
     export, a picklable function, runs in the chunk's worker on every
@@ -828,26 +892,7 @@ def monte_carlo(
         _export = (_run_and_trajectory, lambda pair: sink(*pair))
     metric, tau = resolve_metric(config)
     export, receive = _export or (False, None)
-    jobs = [
-        (config, lo, min(lo + CHUNK_RUNS, runs), epsilon, export)
-        for lo in range(0, runs, CHUNK_RUNS)
-    ]
-    partials = []
-    with contextlib.ExitStack() as stack:
-        pool = None
-        if workers > 1 and len(jobs) > 1:
-            pool = _pool or stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-        for part in (pool.map if pool else map)(_chunk_worker, jobs):
-            for item in part.pop("exported", ()):
-                receive(item)
-            partials.append(part)
-
-    combined, *rest = partials
-    for part in rest:  # fixed chunk order keeps float sums reproducible
-        for key, value in part.items():
-            if value is not None:
-                combined[key] += value
-
+    combined = _run_chunks(config, runs, epsilon, workers, None, 1, [0] * runs, export, receive)
     index_mse = index_stderr = None
     if combined["idx_sum"] is not None:  # a CDF-kind algorithm
         index_mse = combined["idx_sum"] / runs
@@ -856,8 +901,10 @@ def monte_carlo(
     success_rate = anytime_rate = None
     if epsilon is not None:
         success_rate = combined["succ"] / runs
+        # first_fail[f]: runs whose first failure is f (f = horizon: none)
+        first_fail = np.bincount(combined["first_fail"], minlength=config.horizon + 1)
         # runs whose first failure comes after round t, for t = 1..horizon
-        anytime_rate = np.cumsum(combined["first_fail"][::-1])[::-1][1:] / runs
+        anytime_rate = np.cumsum(first_fail[::-1])[::-1][1:] / runs
     return MonteCarloSummary(
         config=config,
         runs=runs,
@@ -909,10 +956,15 @@ def estimate_query_complexity(
     cap with resolved=False.
 
     Every registered matchup is horizon-prefix consistent (see
-    register_algorithm), so one Monte Carlo at horizon H gives the success
-    rate at every h <= H. A probe runs only when h exceeds the longest probe
-    so far; the bisection reads its rates off that probe's per-round
-    counts. All probes share one process pool when workers > 1: _pool lends
+    register_algorithm), so the longest probe H gives the success rate at
+    every h <= H, and the search keeps two running totals: the runs that
+    succeed at each round 1..H, and each run's first failure past burn_in
+    (see _absorb_run). A probe runs only when h exceeds H. It plays every
+    run again from round 1, on the run's own rng lanes, which redraws the
+    same rounds, and scores only rounds H+1 .. h; a run that failed before
+    H keeps its failure. Each round of each run is so scored once, and the
+    bisection reads its rates off the totals. Rates are integer counts over
+    runs. All probes share one process pool when workers > 1: _pool lends
     an open one (the CLI sweep holds one for all its cells), else the search
     opens its own.
     """
@@ -925,16 +977,22 @@ def estimate_query_complexity(
     if t_cap < 1:
         raise ValidationError(f"t_cap must be >= 1, got {t_cap}")
     rates: dict[int, float] = {}
-    longest: MonteCarloSummary | None = None
+    succ = np.zeros(0, dtype=np.int64)  # runs with error <= epsilon at rounds 1..H
+    failed = [0] * runs  # each run's first failure among rounds 1..H
 
     def rate(horizon: int) -> float:
-        nonlocal longest
+        nonlocal succ, failed
         if horizon not in rates:
-            if longest is None or horizon > longest.config.horizon:
+            if horizon > len(succ):
                 probe = dataclasses.replace(config, horizon=horizon)
-                longest = monte_carlo(probe, runs, epsilon=epsilon, workers=workers, _pool=pool)
-            per_round = longest.anytime_rate if config.anytime else longest.success_rate
-            rates[horizon] = float(per_round[horizon - 1])
+                part = _run_chunks(probe, runs, epsilon, workers, pool, len(succ) + 1, failed)
+                succ = np.concatenate([succ, part["succ"]])
+                failed = part["first_fail"]
+            if config.anytime:
+                wins = sum(f >= horizon for f in failed)
+            else:
+                wins = int(succ[horizon - 1])
+            rates[horizon] = wins / runs
         return rates[horizon]
 
     if workers > 1 and _pool is None:

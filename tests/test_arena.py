@@ -982,11 +982,36 @@ def test_replay_memory_is_bounded_in_time_blocks():
     config = GameConfig(n=64, horizon=1 << 16, algorithm="cdfest", adversary="uniform", seed=1)
     tracemalloc.start()
     try:
-        arena_mod._chunk_worker((config, 0, 1, 0.1, False))
+        arena_mod._chunk_worker((config, 0, 1, 0.1, False, 1, [0]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("start", [1, 909, 910, 911])  # 910-row blocks at n=16
+@pytest.mark.parametrize(
+    "algorithm,metric",
+    [("cdfest", "cdf"), ("cdfest", "median"), ("halving", "median"), ("meanest", "mean")],
+    ids=["cdf", "median", "median-round-loop", "mean"],
+)
+def test_run_scored_from_start_is_the_tail_of_the_whole_run(algorithm, metric, start):
+    import threshold_arena.arena as arena_mod
+
+    config = GameConfig(
+        n=16, horizon=2000, algorithm=algorithm, adversary="uniform", metric=metric, seed=17
+    )
+
+    def scored_from(first):
+        alg, adversary, alg_rng = arena_mod._build_sides(config, 3)
+        engine = arena_mod._play if algorithm == "halving" else arena_mod._replay
+        return engine(config, metric, 0.5, alg, adversary, alg_rng, False, first)
+
+    whole_errs, whole_idx, _ = scored_from(1)
+    errs, idx, _ = scored_from(start)
+    assert len(errs) == config.horizon - start + 1
+    assert np.array_equal(errs, whole_errs[start - 1 :])
+    assert (idx is None and whole_idx is None) or np.array_equal(idx, whole_idx)
 
 
 class TestQueryComplexity:
@@ -1087,6 +1112,21 @@ class TestQueryComplexity:
                 ),
                 0.01, 32, id="cap-miss",
             ),
+            pytest.param(
+                # the anytime rate sits near 0.25 at every probe: many runs
+                # fail early and must keep that failure in later probes
+                GameConfig(
+                    n=4, horizon=1, algorithm="cdfest", adversary="uniform", seed=1,
+                    anytime=True, burn_in=40,
+                ),
+                0.3, 256, id="anytime-early-failures",
+            ),
+            pytest.param(
+                GameConfig(
+                    n=16, horizon=1, algorithm="halving", adversary="uniform", metric="median", seed=3
+                ),
+                0.1, 64, id="halving-round-loop",
+            ),
         ],
     )
     def test_search_matches_fresh_probe_reference(self, config, epsilon, t_cap, workers):
@@ -1123,6 +1163,35 @@ class TestQueryComplexity:
         expected = reference(config, epsilon, 0.75, 200, t_cap, workers)
         assert (est.t_hat, est.resolved, est.curve) == expected
         assert all(type(rate) is float for _, rate in est.curve)
+
+    @pytest.mark.parametrize(
+        "config,epsilon",
+        [
+            (GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=8), 0.2),
+            (
+                GameConfig(
+                    n=8, horizon=1, algorithm="meanest", adversary="uniform", seed=2,
+                    anytime=True, burn_in=6,
+                ),
+                0.3,
+            ),
+        ],
+        ids=["cdf", "anytime-burn-in"],
+    )
+    def test_search_scores_each_round_of_each_run_once(self, config, epsilon, monkeypatch):
+        import threshold_arena.arena as arena_mod
+
+        scored = []
+        score_block = arena_mod._score_block
+
+        def counted(metric, tau, n, counts, t0, samples, *rest):
+            scored.append(len(samples))
+            return score_block(metric, tau, n, counts, t0, samples, *rest)
+
+        monkeypatch.setattr(arena_mod, "_score_block", counted)
+        est = estimate_query_complexity(config, epsilon, runs=200)
+        longest = max(horizon for horizon, _ in est.curve)
+        assert len(est.curve) > 2 and sum(scored) == 200 * longest
 
 
 class TestExport:

@@ -41,3 +41,11 @@ def test_wrapper_mix_round_is_correct(trace):
         _bench("run.py", "--workload", "wrapper-mix", "--seed", "1", "--seconds", "0.01", "--trace", trace)
     )
     assert result["correct"] is True and result["failed"] == 0 and result["attempted"] > 0
+
+
+def test_complexity_sweep_round_is_correct():
+    # one operation of this workload is a whole estimate_query_complexity search
+    result = json.loads(
+        _bench("run.py", "--workload", "complexity-sweep", "--seed", "1", "--seconds", "0.01", "--trace", "0")
+    )
+    assert result["correct"] is True and result["failed"] == 0 and result["attempted"] > 0
