@@ -953,20 +953,25 @@ def estimate_query_complexity(
     the success rate clears the target at both T and 2T, then bisects down
     to +-10%. Success means final error <= epsilon (or error <= epsilon at
     every round past burn_in when config.anytime). Hitting t_cap returns the
-    cap with resolved=False.
+    cap with resolved=False. With anytime the search answers a fixed-burn-in
+    question, whose rate can only fall as T grows: when its first probe
+    misses the target, it runs to t_cap.
 
     Every registered matchup is horizon-prefix consistent (see
     register_algorithm), so the longest probe H gives the success rate at
     every h <= H, and the search keeps two running totals: the runs that
     succeed at each round 1..H, and each run's first failure past burn_in
-    (see _absorb_run). A probe runs only when h exceeds H. It plays every
-    run again from round 1, on the run's own rng lanes, which redraws the
-    same rounds, and scores only rounds H+1 .. h; a run that failed before
-    H keeps its failure. Each round of each run is so scored once, and the
-    bisection reads its rates off the totals. Rates are integer counts over
-    runs. All probes share one process pool when workers > 1: _pool lends
-    an open one (the CLI sweep holds one for all its cells), else the search
-    opens its own.
+    (see _absorb_run). A probe runs only when h exceeds H. The doubling asks
+    for 2h right after h unless h fails with 2h > t_cap, so otherwise the
+    probe for h plays to 2h: every horizon played is one the search asks
+    for, in about half as many probes. A probe plays every run again from
+    round 1, on the run's own rng lanes, which redraws the same rounds, and
+    scores only the rounds past H; a run that failed before H keeps its
+    failure. Each round of each run is so scored once, and the bisection
+    reads its rates off the totals. Rates are integer counts over runs. All
+    probes share one process pool when workers > 1: _pool lends an open one
+    (the CLI sweep holds one for all its cells), else the search opens its
+    own.
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValidationError(f"epsilon must lie in (0, 1/2], got {epsilon}")
@@ -980,11 +985,11 @@ def estimate_query_complexity(
     succ = np.zeros(0, dtype=np.int64)  # runs with error <= epsilon at rounds 1..H
     failed = [0] * runs  # each run's first failure among rounds 1..H
 
-    def rate(horizon: int) -> float:
+    def rate(horizon: int, play: int = 0) -> float:
         nonlocal succ, failed
         if horizon not in rates:
-            if horizon > len(succ):
-                probe = dataclasses.replace(config, horizon=horizon)
+            if horizon > len(succ):  # a probe, played to max(horizon, play)
+                probe = dataclasses.replace(config, horizon=max(horizon, play))
                 part = _run_chunks(probe, runs, epsilon, workers, pool, len(succ) + 1, failed)
                 succ = np.concatenate([succ, part["succ"]])
                 failed = part["first_fail"]
@@ -1002,7 +1007,9 @@ def estimate_query_complexity(
     with shared as pool:
         horizon = 1 << config.burn_in.bit_length()  # smallest power of two > burn_in
         while horizon <= t_cap:
-            if rate(horizon) >= target and rate(2 * horizon) >= target:
+            # rate(2h) comes next unless h fails with 2h > t_cap: one probe serves both
+            paired = 2 * horizon if 2 * horizon <= t_cap else horizon
+            if rate(horizon, paired) >= target and rate(2 * horizon) >= target:
                 break
             horizon *= 2
         else:

@@ -978,15 +978,17 @@ def test_replay_memory_is_bounded_in_time_blocks():
 
     import threshold_arena.arena as arena_mod
 
-    # one replayed run at n=64, T=2^16 held about 168 MiB of T x (n+2) arrays
+    # one replayed run at n=64, T=2^16 held about 168 MiB of T x (n+2) arrays;
+    # a run scored from a later start, as a search probe is, holds the same bound
     config = GameConfig(n=64, horizon=1 << 16, algorithm="cdfest", adversary="uniform", seed=1)
-    tracemalloc.start()
-    try:
-        arena_mod._chunk_worker((config, 0, 1, 0.1, False, 1, [0]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * 2**20, peak / 2**20
+    for start in (1, (1 << 15) + 1):
+        tracemalloc.start()
+        try:
+            arena_mod._chunk_worker((config, 0, 1, 0.1, False, start, [start - 1]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20, (start, peak / 2**20)
 
 
 @pytest.mark.parametrize("start", [1, 909, 910, 911])  # 910-row blocks at n=16
@@ -1012,6 +1014,20 @@ def test_run_scored_from_start_is_the_tail_of_the_whole_run(algorithm, metric, s
     assert len(errs) == config.horizon - start + 1
     assert np.array_equal(errs, whole_errs[start - 1 :])
     assert (idx is None and whole_idx is None) or np.array_equal(idx, whole_idx)
+
+
+def _record_probes(monkeypatch) -> list[int]:
+    """The horizon of each probe a search plays, in order, as it plays them."""
+    import threshold_arena.arena as arena_mod
+
+    played, run_chunks = [], arena_mod._run_chunks
+
+    def probe(config, *rest, **options):
+        played.append(config.horizon)
+        return run_chunks(config, *rest, **options)
+
+    monkeypatch.setattr(arena_mod, "_run_chunks", probe)
+    return played
 
 
 class TestQueryComplexity:
@@ -1127,6 +1143,16 @@ class TestQueryComplexity:
                 ),
                 0.1, 64, id="halving-round-loop",
             ),
+            pytest.param(
+                # the probe for 16 plays to 32; 32 fails and 64 is past the cap
+                GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=8),
+                0.2, 48, id="cap-not-a-power-of-two",
+            ),
+            pytest.param(
+                # 512 passes at the cap, so the search still asks for 1024
+                GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=0),
+                0.2, 512, id="pass-at-the-cap",
+            ),
         ],
     )
     def test_search_matches_fresh_probe_reference(self, config, epsilon, t_cap, workers):
@@ -1192,6 +1218,57 @@ class TestQueryComplexity:
         est = estimate_query_complexity(config, epsilon, runs=200)
         longest = max(horizon for horizon, _ in est.curve)
         assert len(est.curve) > 2 and sum(scored) == 200 * longest
+
+    @pytest.mark.parametrize(
+        "config,epsilon,t_cap,probes",
+        [
+            (
+                GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=8),
+                0.2, 1 << 20, [2, 8, 32, 128, 512, 1024],
+            ),
+            # 16 fails with 32 past the cap, so its probe must not play to 32
+            (GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=8), 0.2, 16, [2, 8, 16]),
+            (
+                GameConfig(
+                    n=8, horizon=1, algorithm="meanest", adversary="uniform", seed=2,
+                    anytime=True, burn_in=6,
+                ),
+                0.3, 1 << 20, [16],
+            ),
+        ],
+        ids=["cdf", "cap-16", "anytime-burn-in"],
+    )
+    def test_search_plays_only_horizons_it_asks_about(self, config, epsilon, t_cap, probes, monkeypatch):
+        played = _record_probes(monkeypatch)
+        est = estimate_query_complexity(config, epsilon, runs=200, t_cap=t_cap)
+        # each doubling probe plays to 2h, which the search asks about next
+        assert played == probes and set(played) <= {horizon for horizon, _ in est.curve}
+
+    @pytest.mark.parametrize(
+        "config,epsilon,expected",
+        [
+            (
+                GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=0),
+                0.2,
+                (512, True, [(1, 0.0), (2, 0.0), (4, 0.0), (8, 0.0), (16, 0.0), (32, 0.0),
+                             (64, 0.03), (128, 0.135), (256, 0.435), (384, 0.55), (448, 0.715),
+                             (480, 0.745), (512, 0.785), (1024, 0.975)]),
+            ),
+            (
+                GameConfig(n=16, horizon=1, algorithm="meanest", adversary="mirror", seed=0),
+                0.05,
+                (88, True, [(1, 0.0), (2, 0.12), (4, 0.215), (8, 0.24), (16, 0.385), (32, 0.47),
+                            (64, 0.65), (80, 0.745), (88, 0.75), (96, 0.785), (128, 0.86),
+                            (256, 0.98)]),
+            ),
+        ],
+        ids=["cdfest-uniform", "meanest-mirror"],
+    )
+    def test_search_results_are_pinned(self, config, epsilon, expected):
+        # recorded before the search paired its probes: a change to a seeded
+        # stream that moves the search and monte_carlo alike still fails here
+        est = estimate_query_complexity(config, epsilon, runs=200)
+        assert (est.t_hat, est.resolved, est.curve) == expected
 
 
 class TestExport:
