@@ -31,11 +31,9 @@ def main():
     # two-phase median hardness: the mixture identity in action
     config = ta.MedianLbConfig(k=4, m=2, epsilon=Fraction(1, 64))
     adversary = ta.MedianLbAdversary(config, np.random.default_rng(3))
-    history, samples = [], []
-    for t in range(1, config.horizon + 1):
-        x = adversary.next_sample(history)
-        samples.append(x)
-        history.append(ta.RoundRecord.play(t, 1, x))
+    # the opponent is oblivious: the past queries it is handed do not matter
+    queries = np.ones(config.horizon, dtype=np.int64)
+    samples = [adversary.next_sample(queries[:t]) for t in range(config.horizon)]
     full = ta.empirical_cdf(samples, config.n)
     half = ta.empirical_cdf(samples[: config.horizon // 2], config.n)
     j = adversary.j

@@ -1,18 +1,19 @@
 """Sample-producing opponents for the threshold-query protocol.
 
-Each adversary exposes next_sample(history) -> sample in {1..n+1}, where
-history is the read-only sequence of completed RoundRecords (queries,
-feedback bits, and the adversary's own past samples through round t-1). Oblivious adversaries
-ignore history entirely; the sample for the current round can never depend on
-the current query. Instances are single-run: build a fresh one per game.
+Each adversary exposes next_sample(past) -> sample in {1..n+1}, where past
+is a read-only int64 array of the queries of rounds 1..t-1. That is all the
+protocol shows an adversary: its own past samples it keeps itself if it
+wants them, and each feedback bit follows from a sample and a query.
+Oblivious adversaries ignore past entirely; the sample for the current round
+can never depend on the current query. Instances are single-run: build a
+fresh one per game.
 
-Adversaries whose samples depend on the history only through past queries
-also expose sample_batch(queries) -> int64 array: on a fresh instance it
-equals len(queries) successive next_sample calls, consuming the rng the same
-way, so the arena can replay a whole game against a feedback-oblivious
-algorithm as arrays. The anytime amplifier has it when its segment
-adversaries do: it builds each segment when live play would and hands it
-that segment's slice of the queries, so its stream is live play's.
+Adversaries may also expose sample_batch(queries) -> int64 array: on a
+fresh instance entry i equals next_sample(queries[:i]), consuming the rng
+the same way, so the arena can replay a whole game against a
+feedback-oblivious algorithm as arrays. The anytime amplifier has it when
+its segment adversaries do: it builds each segment when live play would and
+hands it that segment's slice of the queries, so its stream is live play's.
 
 Besides plain i.i.d. samplers this module carries the hard-instance
 machinery: the perturbed-staircase CDF family, the two-phase median
@@ -32,20 +33,15 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import (
-    NondeterminismError,
-    RoundRecord,
-    ValidationError,
-    as_fraction,
-)
+from .core import NondeterminismError, ValidationError, as_fraction
 
 
 class Adversary:
-    """Produces the hidden sample each round, seeing history through t-1."""
+    """Produces the hidden sample each round, seeing the queries of rounds 1..t-1."""
 
     n: int
 
-    def next_sample(self, history: Sequence[RoundRecord]) -> int:
+    def next_sample(self, past: np.ndarray) -> int:
         raise NotImplementedError
 
 
@@ -72,7 +68,7 @@ class StochasticAdversary(Adversary):
         self._cum[-1] = 1.0  # guard against float cumsum undershoot
         self._rng = rng
 
-    def next_sample(self, history: Sequence[RoundRecord]) -> int:
+    def next_sample(self, past: np.ndarray) -> int:
         return int(np.searchsorted(self._cum, self._rng.random(), side="right")) + 1
 
     def sample_batch(self, queries: np.ndarray) -> np.ndarray:
@@ -103,7 +99,7 @@ class ConstantCoinAdversary(Adversary):
         self.n = n
         self.value = 1 if rng.random() < 0.5 else 2
 
-    def next_sample(self, history: Sequence[RoundRecord]) -> int:
+    def next_sample(self, past: np.ndarray) -> int:
         return self.value
 
     def sample_batch(self, queries: np.ndarray) -> np.ndarray:
@@ -122,10 +118,10 @@ class AdaptiveMirrorAdversary(Adversary):
             raise ValidationError(f"n must be even and >= 2, got {n}")
         self.n = n
 
-    def next_sample(self, history: Sequence[RoundRecord]) -> int:
-        if not history:
+    def next_sample(self, past: np.ndarray) -> int:
+        if not len(past):
             return self.n // 2
-        return min(history[-1].query + 1, self.n + 1)
+        return min(int(past[-1]) + 1, self.n + 1)
 
     def sample_batch(self, queries: np.ndarray) -> np.ndarray:
         samples = np.empty(len(queries), dtype=np.int64)
@@ -147,8 +143,8 @@ class SequenceAdversary(Adversary):
         self.n = n
         self.samples = samples
 
-    def next_sample(self, history: Sequence[RoundRecord]) -> int:
-        t = len(history)
+    def next_sample(self, past: np.ndarray) -> int:
+        t = len(past)
         if t >= len(self.samples):
             raise ValidationError(
                 f"sample sequence exhausted after {len(self.samples)} rounds"
@@ -349,11 +345,11 @@ class MedianLbAdversary(Adversary):
         self.j = config.offsets()[int(rng.integers(config.k))]
         self._first_phase = StochasticAdversary(median_lb_pmf(config), rng)
 
-    def next_sample(self, history: Sequence[RoundRecord]) -> int:
-        t = len(history) + 1
+    def next_sample(self, past: np.ndarray) -> int:
+        t = len(past) + 1
         half = self.config.horizon // 2
         if t <= half:
-            return self._first_phase.next_sample(history)
+            return self._first_phase.next_sample(past)
         if t <= half + self.j * self.config.m:
             return self.n
         return 1
@@ -381,43 +377,14 @@ def amplifier_checkpoints(t0: int = 1) -> Iterator[int]:
         total *= 33
 
 
-class _HistoryTail(Sequence):
-    """Read-only view of history[start:] that copies nothing.
-
-    Indexing, negative indices and slices behave as on the sliced list;
-    slices return lists. Views nest, so amplifiers may wrap amplifiers.
-    """
-
-    __slots__ = ("_history", "_start")
-
-    def __init__(self, history: Sequence[RoundRecord], start: int):
-        self._history = history
-        self._start = start
-
-    def __len__(self) -> int:
-        return max(0, len(self._history) - self._start)
-
-    def __bool__(self) -> bool:
-        return len(self._history) > self._start
-
-    def __getitem__(self, index):
-        size = len(self)
-        if isinstance(index, slice):
-            return [self._history[self._start + i] for i in range(*index.indices(size))]
-        if index < 0:
-            index += size
-        if not 0 <= index < size:
-            raise IndexError("history index out of range")
-        return self._history[self._start + index]
-
-
 class AnytimeAdversary(Adversary):
     """Plays fixed-horizon adversaries on segments of 33x-growing extent.
 
     The factory is invoked once per segment with the segment length; each
-    segment adversary sees only the history generated inside its segment, so
-    per-segment behavior matches a fresh fixed-horizon run. When the first
-    segment adversary has sample_batch, the amplifier is built with one.
+    segment adversary sees only its segment's queries, a view of the tail
+    of past, so per-segment behavior matches a fresh fixed-horizon run. When
+    the first segment adversary has sample_batch, the amplifier is built
+    with one.
     """
 
     def __init__(self, factory: Callable[[int], Adversary], t0: int = 1):
@@ -436,10 +403,10 @@ class AnytimeAdversary(Adversary):
         self._segment_len = 32 * self._segment_start
         self._segment = self._factory(self._segment_len)
 
-    def next_sample(self, history: Sequence[RoundRecord]) -> int:
-        if len(history) - self._segment_start >= self._segment_len:
+    def next_sample(self, past: np.ndarray) -> int:
+        if len(past) - self._segment_start >= self._segment_len:
             self._next_segment()
-        return self._segment.next_sample(_HistoryTail(history, self._segment_start))
+        return self._segment.next_sample(past[self._segment_start :])
 
     def _sample_batch(self, queries: np.ndarray) -> np.ndarray:
         """Each segment, built when live play builds it, samples its slice of the queries."""

@@ -3,8 +3,11 @@
 A game couples one OnlineAlgorithm with one Adversary for a fixed horizon:
 each round the algorithm commits a query and the adversary commits a sample,
 neither seeing the other's current choice, then the feedback bit goes to the
-algorithm and the query joins the adversary-visible history. Every round's
-estimate is scored against the exact running empirical CDF / mean.
+algorithm and the query joins the past queries, which the adversary is handed
+as a read-only int64 array. Its own past samples it keeps itself, and the
+feedback follows from a sample and a query, so the past queries are all the
+protocol shows it. Every round's estimate is scored against the exact running
+empirical CDF / mean.
 
 Everything is reproducible: a master seed is split into independent
 per-(run, role) lanes via numpy SeedSequence spawn keys, and runs are
@@ -36,7 +39,6 @@ import contextlib
 import dataclasses
 import json
 import os
-from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,7 +48,6 @@ import numpy as np
 
 from .core import (
     ProtocolError,
-    RoundRecord,
     Trajectory,
     ValidationError,
     _quantile_error_floats,
@@ -462,47 +463,14 @@ def _build_sides(config: GameConfig, run_id: int):
 def run_game(config: GameConfig, run_id: int = 0) -> Trajectory:
     """Play one seeded game and record the full trajectory.
 
-    The adversary's sample at round t is requested with history through round
-    t-1 only; determinism is total given (seed, run_id). Contract violations
-    raise ProtocolError naming the offender and the round.
+    The adversary's sample at round t is requested with the queries of
+    rounds 1..t-1 only, as a read-only array; determinism is total given
+    (seed, run_id). Contract violations raise ProtocolError naming the
+    offender and the round.
     """
     alg, adversary, alg_rng = _build_sides(config, run_id)
     metric, tau = _metric_of(config, alg)
     return _play(config, metric, tau, alg, adversary, alg_rng, True, 1)[2]
-
-
-class _PlayedRounds(Sequence):
-    """The adversary's read-only view of the rounds played, over the game's columns.
-
-    Holds no records: indexing builds the RoundRecord of one round, and
-    negative indices and slices behave as on a list of the played rounds
-    (slices return lists). The round loop raises `played` after each round.
-    """
-
-    __slots__ = ("_queries", "_samples", "_feedback", "played")
-
-    def __init__(self, queries: np.ndarray, samples: np.ndarray, feedback: np.ndarray):
-        self._queries = queries
-        self._samples = samples
-        self._feedback = feedback
-        self.played = 0
-
-    def __len__(self) -> int:
-        return self.played
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self.played))]
-        if index < 0:
-            index += self.played
-        if not 0 <= index < self.played:
-            raise IndexError("history index out of range")
-        return RoundRecord(
-            index + 1,
-            int(self._queries[index]),
-            int(self._samples[index]),
-            int(self._feedback[index]),
-        )
 
 
 def _play(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool, start: int):
@@ -510,14 +478,17 @@ def _play(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool, s
 
     Every round is checked as it is played, so a query, sample or index
     estimate out of range, or a ValidationError from snapshot(), raises
-    ProtocolError at its own round, before the next round is played. Each
-    round's estimate goes into a block buffer (the CDF values of a CDF-kind
-    algorithm, else the scalar estimate), and _score_run scores full blocks.
+    ProtocolError at its own round, before the next round is played. The
+    adversary gets past[:i], a read-only view of the query column, so one
+    that writes into it raises numpy's ValueError. Each round's estimate
+    goes into a block buffer (the CDF values of a CDF-kind algorithm, else
+    the scalar estimate), and _score_run scores full blocks.
     """
     n, horizon = config.n, config.horizon
     kind = alg.kind
     queries, samples, feedback = (np.empty(horizon, dtype=np.int64) for _ in range(3))
-    history = _PlayedRounds(queries, samples, feedback)
+    past = queries.view()
+    past.flags.writeable = False
     block = _block_rows(metric, n)
 
     def blocks():
@@ -528,13 +499,12 @@ def _play(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool, s
             q = alg.next_query(alg_rng)
             if not 1 <= q <= n:
                 raise ProtocolError("algorithm", t, f"query {q} outside 1..{n}")
-            x = adversary.next_sample(history)
+            x = adversary.next_sample(past[:i])
             if not 1 <= x <= n + 1:
                 raise ProtocolError("adversary", t, f"sample {x} outside 1..{n + 1}")
             b = 1 if x <= q else 0
             alg.observe(b)
             queries[i], samples[i], feedback[i] = q, x, b
-            history.played = t
             try:
                 snap = alg.snapshot()
             except ValidationError as exc:
@@ -750,16 +720,19 @@ def _replay(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool,
     """_play's result for a run whose sides have batch methods, computed as arrays.
 
     The run's queries, samples and feedback are drawn for the whole horizon
-    (O(T)). The adversary sees the queries before the first one out of range,
-    and the earliest round with a query or sample out of range raises the
-    round loop's ProtocolError. Estimates then come block by block, so no
+    (O(T)). The adversary gets a read-only view of the queries before the
+    first one out of range, as in the round loop, and the earliest round
+    with a query or sample out of range raises the round loop's
+    ProtocolError. Estimates then come block by block, so no
     T x (n+2) array is built; an algorithm whose estimate_batch computes
     batch_copies estimates per row (the booster) gets that many times fewer.
     """
     n, horizon = config.n, config.horizon
     queries = alg.query_batch(alg_rng, horizon)
     q_end = _first_outside(queries, n)
-    samples = adversary.sample_batch(queries[:q_end])
+    past = queries[:q_end]
+    past.flags.writeable = False
+    samples = adversary.sample_batch(past)
     x_end = _first_outside(samples, n + 1)
     if x_end < len(samples):
         raise ProtocolError("adversary", x_end + 1, f"sample {samples[x_end]} outside 1..{n + 1}")
@@ -950,28 +923,29 @@ def estimate_query_complexity(
     """Smallest horizon at which the config wins with the target probability.
 
     Doubles the horizon, from the smallest power of two above burn_in, until
-    the success rate clears the target at both T and 2T, then bisects down
-    to +-10%. Success means final error <= epsilon (or error <= epsilon at
-    every round past burn_in when config.anytime). Hitting t_cap returns the
-    cap with resolved=False. With anytime the search answers a fixed-burn-in
-    question, whose rate can only fall as T grows: when its first probe
-    misses the target, it runs to t_cap.
+    the success rate clears the target at both T and 2T <= t_cap, then
+    bisects down to +-10%. Success means final error <= epsilon (or error <=
+    epsilon at every round past burn_in when config.anytime). Hitting t_cap
+    returns the cap with resolved=False, also when T passes but 2T is past
+    the cap: no probe plays past t_cap. With anytime the search answers a
+    fixed-burn-in question, whose rate can only fall as T grows: when its
+    first probe misses the target, it runs to t_cap.
 
     Every registered matchup is horizon-prefix consistent (see
     register_algorithm), so the longest probe H gives the success rate at
     every h <= H, and the search keeps two running totals: the runs that
     succeed at each round 1..H, and each run's first failure past burn_in
-    (see _absorb_run). A probe runs only when h exceeds H. The doubling asks
-    for 2h right after h unless h fails with 2h > t_cap, so otherwise the
-    probe for h plays to 2h: every horizon played is one the search asks
-    for, in about half as many probes. A probe plays every run again from
-    round 1, on the run's own rng lanes, which redraws the same rounds, and
-    scores only the rounds past H; a run that failed before H keeps its
-    failure. Each round of each run is so scored once, and the bisection
-    reads its rates off the totals. Rates are integer counts over runs. All
-    probes share one process pool when workers > 1: _pool lends an open one
-    (the CLI sweep holds one for all its cells), else the search opens its
-    own.
+    (see _absorb_run). A probe runs only when h exceeds H. Whenever 2h <=
+    t_cap the doubling asks for 2h right after h, as the confirmation when
+    h passes and as the next h when it fails, so the probe for h plays to
+    2h: every horizon played is one the search asks for, in about half as
+    many probes. A probe plays every run again from round 1, on the run's
+    own rng lanes, which redraws the same rounds, and scores only the
+    rounds past H; a run that failed before H keeps its failure. Each round
+    of each run is so scored once, and the bisection reads its rates off the
+    totals. Rates are integer counts over runs. All probes share one process
+    pool when workers > 1: _pool lends an open one (the CLI sweep holds one
+    for all its cells), else the search opens its own.
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValidationError(f"epsilon must lie in (0, 1/2], got {epsilon}")
@@ -1007,9 +981,9 @@ def estimate_query_complexity(
     with shared as pool:
         horizon = 1 << config.burn_in.bit_length()  # smallest power of two > burn_in
         while horizon <= t_cap:
-            # rate(2h) comes next unless h fails with 2h > t_cap: one probe serves both
-            paired = 2 * horizon if 2 * horizon <= t_cap else horizon
-            if rate(horizon, paired) >= target and rate(2 * horizon) >= target:
+            # rate(2h) comes next whenever 2h <= t_cap: one probe serves both
+            double = 2 * horizon if 2 * horizon <= t_cap else 0
+            if rate(horizon, double) >= target and double and rate(double) >= target:
                 break
             horizon *= 2
         else:

@@ -66,10 +66,6 @@ class RoundRecord:
                 f"query {self.query} at round {self.t}"
             )
 
-    @classmethod
-    def play(cls, t: int, query: int, sample: int) -> "RoundRecord":
-        return cls(t, query, sample, int(sample <= query))
-
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalCdf:

@@ -281,12 +281,8 @@ def test_criterion_11_construction_validity():
             assert cdf[i] == expected
 
         adversary = ta.MedianLbAdversary(config, np.random.default_rng(trial))
-        history = []
-        samples = []
-        for t in range(1, config.horizon + 1):
-            x = adversary.next_sample(history)
-            samples.append(x)
-            history.append(ta.RoundRecord.play(t, 1, x))
+        queries = np.ones(config.horizon, dtype=np.int64)
+        samples = [adversary.next_sample(queries[:i]) for i in range(config.horizon)]
         full = ta.empirical_cdf(samples, n)
         half = ta.empirical_cdf(samples[: config.horizon // 2], n)
         j = Fraction(adversary.j)

@@ -12,7 +12,6 @@ from threshold_arena import (
     MedianLbAdversary,
     MedianLbConfig,
     NondeterminismError,
-    RoundRecord,
     SequenceAdversary,
     StochasticAdversary,
     ValidationError,
@@ -29,7 +28,7 @@ from threshold_arena import (
     save_sample_sequence,
     uniform_pmf,
 )
-from threshold_arena.adversaries import Adversary, _HistoryTail
+from threshold_arena.adversaries import Adversary
 from threshold_arena.estimators import HalvingBaseline, MidpointBaseline
 
 
@@ -38,13 +37,8 @@ def rng(seed=0):
 
 
 def draw(adversary, rounds):
-    history = []
-    out = []
-    for t in range(1, rounds + 1):
-        x = adversary.next_sample(history)
-        out.append(x)
-        history.append(RoundRecord.play(t, 1, x))
-    return out
+    queries = np.ones(rounds, dtype=np.int64)
+    return [adversary.next_sample(queries[:i]) for i in range(rounds)]
 
 
 class TestStochasticAdversary:
@@ -225,12 +219,10 @@ class TestConstantCoin:
 class TestMirror:
     def test_initialization_and_follow(self):
         adv = AdaptiveMirrorAdversary(8)
-        history = []
-        assert adv.next_sample(history) == 4
-        history.append(RoundRecord.play(1, 3, 4))
-        assert adv.next_sample(history) == 4
-        history.append(RoundRecord.play(2, 8, 4))
-        assert adv.next_sample(history) == 9  # clamped to n+1
+        queries = np.array([3, 8])
+        assert adv.next_sample(queries[:0]) == 4
+        assert adv.next_sample(queries[:1]) == 4
+        assert adv.next_sample(queries[:2]) == 9  # clamped to n+1
 
     def test_requires_even_n(self):
         with pytest.raises(ValidationError):
@@ -249,7 +241,7 @@ class TestSequence:
         adv = SequenceAdversary([2, 2], n=4)
         draw(adv, 2)
         with pytest.raises(ValidationError, match="exhausted"):
-            adv.next_sample([RoundRecord.play(t, 1, 2) for t in (1, 2)])
+            adv.next_sample(np.ones(2, dtype=np.int64))
         with pytest.raises(ValidationError, match="exhausted"):
             adv.sample_batch(np.ones(3, dtype=np.int64))
 
@@ -276,24 +268,22 @@ def test_sample_batch_replays_next_sample(name):
     queries = rng(7).integers(1, 17, size=70)
     g_batch, g_live = rng(3), rng(3)
     batch = make(g_batch).sample_batch(queries)
-    live, history = make(g_live), []
-    for t, q in enumerate(queries, start=1):
-        history.append(RoundRecord.play(t, int(q), live.next_sample(history)))
+    live = make(g_live)
     assert batch.dtype == np.int64
-    assert batch.tolist() == [r.sample for r in history]
+    assert batch.tolist() == [live.next_sample(queries[:i]) for i in range(len(queries))]
     assert g_batch.random() == g_live.random()  # same rng consumption
 
 
 class _SlicingAmplifier(AnytimeAdversary):
-    """The amplifier as first written: each round hands its segment a copied
-    slice of the history. Reference for the offset view."""
+    """The amplifier with each round handing its segment a copied slice of
+    the past queries. Reference for the view it hands."""
 
-    def next_sample(self, history):
-        if len(history) - self._segment_start >= self._segment_len:
+    def next_sample(self, past):
+        if len(past) - self._segment_start >= self._segment_len:
             self._segment_start += self._segment_len
             self._segment_len = 32 * self._segment_start
             self._segment = self._factory(self._segment_len)
-        return self._segment.next_sample(list(history[self._segment_start :]))
+        return self._segment.next_sample(past[self._segment_start :].copy())
 
 
 _AMPLIFIED = {
@@ -313,32 +303,6 @@ _AMPLIFIED = {
         lambda segment: cls(lambda inner: ConstantCoinAdversary(16, g), t0=1), t0=1
     ),
 }
-
-
-class TestHistoryTail:
-    def test_matches_the_sliced_list(self):
-        history = [RoundRecord.play(t, 3, 1 + t % 4) for t in range(1, 11)]
-        slices = (slice(None), slice(1, 3), slice(-2, None), slice(None, None, -1), slice(5, 1, -2))
-        for start in (0, 4, 10):
-            view, expect = _HistoryTail(history, start), history[start:]
-            assert len(view) == len(expect) and bool(view) == bool(expect)
-            assert list(view) == expect
-            for i in range(-len(expect), len(expect)):
-                assert view[i] == expect[i]
-            for sl in slices:
-                assert view[sl] == expect[sl]
-            for i in (len(expect), -len(expect) - 1):
-                with pytest.raises(IndexError):
-                    view[i]
-            assert list(_HistoryTail(view, 1)) == expect[1:]
-            assert list(_HistoryTail(view, 20)) == []
-
-    def test_sees_appends_to_the_underlying_history(self):
-        history = [RoundRecord.play(1, 1, 1)]
-        view = _HistoryTail(history, 1)
-        assert not view
-        history.append(RoundRecord.play(2, 4, 2))
-        assert len(view) == 1 and view[-1].query == 4
 
 
 class TestAnytimeAmplifier:
@@ -364,26 +328,21 @@ class TestAnytimeAmplifier:
     def test_segments_see_local_history(self):
         # a mirror inside the amplifier restarts at n/2 on each segment boundary
         adv = AnytimeAdversary(lambda s: AdaptiveMirrorAdversary(8), t0=1)
-        history = []
-        samples = []
-        for t, q in zip(range(1, 5), (7, 2, 5, 6)):
-            x = adv.next_sample(history)
-            samples.append(x)
-            history.append(RoundRecord.play(t, q, x))
+        queries = np.array([7, 2, 5, 6])
+        samples = [adv.next_sample(queries[:i]) for i in range(4)]
         # round 1: segment of length 1 -> 4; round 2: fresh segment -> 4 again
         assert samples == [4, 4, 3, 6]
 
     @pytest.mark.parametrize("name", sorted(_AMPLIFIED))
     def test_offset_view_matches_sliced_history(self, name):
         # 1200 rounds cross the segment boundaries at 1, 33 and 1089
-        queries = rng(5).integers(1, 17, size=1200).tolist()
+        queries = rng(5).integers(1, 17, size=1200)
         live = _AMPLIFIED[name](AnytimeAdversary, rng(9))
         reference = _AMPLIFIED[name](_SlicingAmplifier, rng(9))
-        history, samples, expected = [], [], []
-        for t, q in enumerate(queries, start=1):
-            samples.append(live.next_sample(history))
-            expected.append(reference.next_sample(history))
-            history.append(RoundRecord.play(t, q, samples[-1]))
+        samples, expected = [], []
+        for i in range(len(queries)):
+            samples.append(live.next_sample(queries[:i]))
+            expected.append(reference.next_sample(queries[:i]))
         assert samples == expected
 
 
@@ -395,17 +354,14 @@ class TestAnytimeAmplifier:
         batch = _AMPLIFIED[name](AnytimeAdversary, g_batch).sample_batch(queries)
         assert batch.dtype == np.int64
         live = _AMPLIFIED[name](AnytimeAdversary, g_live)
-        history = []
-        for t, q in enumerate(queries.tolist(), start=1):
-            history.append(RoundRecord.play(t, q, live.next_sample(history)))
-        assert batch.tolist() == [r.sample for r in history]
+        assert batch.tolist() == [live.next_sample(queries[:i]) for i in range(len(queries))]
         assert g_batch.random() == g_live.random()  # same rng consumption, in the same order
 
     def test_no_sample_batch_without_segment_batches(self):
         class _Plain(Adversary):
             n = 4
 
-            def next_sample(self, history):
+            def next_sample(self, past):
                 return 1
 
         assert not hasattr(AnytimeAdversary(lambda segment: _Plain()), "sample_batch")

@@ -259,8 +259,8 @@ class _SampleOutOfRange(Adversary):
     def __init__(self, n, bad):
         self.n, self.bad = n, bad
 
-    def next_sample(self, history):
-        return self.n + 5 if len(history) + 1 == self.bad else 1
+    def next_sample(self, past):
+        return self.n + 5 if len(past) + 1 == self.bad else 1
 
     def sample_batch(self, queries):
         samples = np.ones(len(queries), dtype=np.int64)
@@ -297,6 +297,48 @@ def test_engines_reject_out_of_range_batches_alike(query_round, sample_round, me
     monkeypatch.setattr(arena_mod, "_play", None)  # Monte Carlo must meet the batches
     assert rejection(lambda: monte_carlo(config, 4)) == message
     assert rejection(lambda: monte_carlo(config, 4, sink=lambda run_id, tr: None)) == message
+
+
+class _PastWriter(Adversary):
+    """Assigns into the past queries it is handed, live and in sample_batch alike.
+
+    Keeps each array it was handed with a copy taken before the write."""
+
+    def __init__(self, n, handed):
+        self.n, self.handed = n, handed
+
+    def next_sample(self, past):
+        self.handed.append((past, past.copy()))
+        past[:] = 1
+        return 1
+
+    def sample_batch(self, queries):
+        self.handed.append((queries, queries.copy()))
+        queries[:] = 1
+        return np.ones(len(queries), dtype=np.int64)
+
+
+def test_engines_refuse_an_adversary_that_writes_into_past(monkeypatch):
+    import threshold_arena.arena as arena_mod
+    from threshold_arena import register_adversary
+
+    handed = []
+    register_adversary("past-writer", lambda p, n, h, rng: _PastWriter(n, handed))
+    config = GameConfig(n=4, horizon=8, algorithm="cdfest", adversary="past-writer", seed=1)
+
+    def refusal(call):
+        handed.clear()
+        with pytest.raises(ValueError) as caught:
+            call()
+        (past, before), = handed  # the first write fails
+        assert np.array_equal(past, before)  # and leaves the run's queries as they were
+        return str(caught.value)
+
+    message = refusal(lambda: run_game(config))
+    assert "read-only" in message
+    monkeypatch.setattr(arena_mod, "_play", None)  # Monte Carlo replays the run
+    assert refusal(lambda: monte_carlo(config, 4)) == message
+    assert refusal(lambda: monte_carlo(config, 4, sink=lambda run_id, tr: None)) == message
 
 
 class _IndexOutOfRange(MidpointBaseline):
@@ -371,13 +413,20 @@ def test_cdf_errors_match_an_independent_reference(name):
 
 def test_protocol_causality_replay():
     # the adversary's sample at round t is a pure function of its lane rng and
-    # the history through t-1: replay each prefix against a fresh instance
-    for adversary in ("uniform", "mirror", AdversarySpec("median-lb", {"k": 4, "m": 1, "epsilon": 0})):
-        config = GameConfig(n=16, horizon=24, algorithm="cdfest", adversary=adversary, seed=5)
+    # the queries of rounds 1..t-1: replay each prefix against a fresh instance
+    adversaries = (
+        "uniform",
+        "mirror",
+        AdversarySpec("median-lb", {"k": 4, "m": 1, "epsilon": 0}),
+        _amplified("mirror"),  # 40 rounds cross its segments at 1 and 33
+        AdversarySpec("sequence", {"samples": _PREFIX_SEQUENCE[:40]}),
+    )
+    for adversary in adversaries:
+        config = GameConfig(n=16, horizon=40, algorithm="cdfest", adversary=adversary, seed=5)
         tr = run_game(config)
         fresh = build_adversary(config.adversary, config.n, config.horizon, derive_rng(5, 0, ROLE_ADVERSARY))
-        for t, record in enumerate(tr.records):
-            assert fresh.next_sample(tr.records[:t]) == record.sample
+        for t, sample in enumerate(tr.samples.tolist()):
+            assert fresh.next_sample(tr.queries[:t]) == sample
 
 
 class TestRecomputeErrors:
@@ -820,13 +869,15 @@ def test_wrapper_matchups_take_the_replay(name, monkeypatch):
 
 
 class _EchoAdversary(Adversary):
-    """Steps one past its previous sample, cycling: it reads history, so it has no sample_batch."""
+    """Steps one past its previous sample, cycling; it keeps that sample itself and has no sample_batch."""
 
     def __init__(self, n):
         self.n = n
+        self._last = 0
 
-    def next_sample(self, history):
-        return history[-1].sample % self.n + 1 if history else 1
+    def next_sample(self, past):
+        self._last = self._last % self.n + 1
+        return self._last
 
 
 _ROUND_LOOP_WRAPPERS = {
@@ -1149,7 +1200,7 @@ class TestQueryComplexity:
                 0.2, 48, id="cap-not-a-power-of-two",
             ),
             pytest.param(
-                # 512 passes at the cap, so the search still asks for 1024
+                # 512 passes, but 1024 is past the cap: the search returns the cap unresolved
                 GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=0),
                 0.2, 512, id="pass-at-the-cap",
             ),
@@ -1171,7 +1222,7 @@ class TestQueryComplexity:
 
             horizon = 1 << config.burn_in.bit_length()
             while horizon <= t_cap:
-                if rate(horizon) >= target and rate(2 * horizon) >= target:
+                if rate(horizon) >= target and 2 * horizon <= t_cap and rate(2 * horizon) >= target:
                     break
                 horizon *= 2
             else:
@@ -1228,6 +1279,8 @@ class TestQueryComplexity:
             ),
             # 16 fails with 32 past the cap, so its probe must not play to 32
             (GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=8), 0.2, 16, [2, 8, 16]),
+            # 512 passes with 1024 past the cap, so no probe confirms it at 1024
+            (GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=0), 0.2, 512, [2, 8, 32, 128, 512]),
             (
                 GameConfig(
                     n=8, horizon=1, algorithm="meanest", adversary="uniform", seed=2,
@@ -1236,13 +1289,14 @@ class TestQueryComplexity:
                 0.3, 1 << 20, [16],
             ),
         ],
-        ids=["cdf", "cap-16", "anytime-burn-in"],
+        ids=["cdf", "cap-16", "cap-512", "anytime-burn-in"],
     )
     def test_search_plays_only_horizons_it_asks_about(self, config, epsilon, t_cap, probes, monkeypatch):
         played = _record_probes(monkeypatch)
         est = estimate_query_complexity(config, epsilon, runs=200, t_cap=t_cap)
         # each doubling probe plays to 2h, which the search asks about next
         assert played == probes and set(played) <= {horizon for horizon, _ in est.curve}
+        assert max(played) <= t_cap
 
     @pytest.mark.parametrize(
         "config,epsilon,expected",

@@ -519,8 +519,8 @@ class _LateBadSample(Adversary):
     def __init__(self, n):
         self.n = n
 
-    def next_sample(self, history):
-        return self.n + 5 if len(history) == 2 else 1
+    def next_sample(self, past):
+        return self.n + 5 if len(past) == 2 else 1
 
     def sample_batch(self, queries):
         samples = np.ones(len(queries), dtype=np.int64)
