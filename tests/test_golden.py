@@ -1,8 +1,12 @@
-"""Round-loop outputs pinned as SHA-256 digests.
+"""Round-loop, Monte Carlo and search outputs pinned as SHA-256 digests.
 
-Each digest covers the run_game columns (queries, samples, feedback, errors,
-estimates) of one matchup that plays the round loop: an algorithm without
-batch methods against an adaptive, phased, replayed or amplified adversary.
+Each round-loop digest covers the run_game columns (queries, samples,
+feedback, errors, estimates) of one matchup that plays the round loop: an
+algorithm without batch methods against an adaptive, phased, replayed or
+amplified adversary. Each Monte Carlo digest covers every field of one
+monte_carlo summary of a replayed matchup whose runs span several scoring
+blocks, and must come out the same at 1 and 2 workers. Each search digest
+covers (t_hat, resolved, curve) of one estimate_query_complexity call.
 The digests were recorded with numpy RECORDED_NUMPY. numpy may change its
 Generator streams between releases, so on another version the test fails
 and names both versions instead of passing or failing on stream noise.
@@ -17,7 +21,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from threshold_arena import AdversarySpec, GameConfig, run_game
+from threshold_arena import (
+    AdversarySpec,
+    AlgorithmSpec,
+    GameConfig,
+    estimate_query_complexity,
+    monte_carlo,
+    run_game,
+)
 
 RECORDED_NUMPY = "2.4.6"
 
@@ -70,11 +81,7 @@ def trajectory_digest(algorithm: str, adversary: str) -> str:
 
 @pytest.mark.parametrize("key", sorted(DIGESTS))
 def test_round_loop_outputs_match_the_recorded_digests(key):
-    if np.__version__ != RECORDED_NUMPY:
-        pytest.fail(
-            f"digests were recorded with numpy {RECORDED_NUMPY}, this is numpy "
-            f"{np.__version__}; check the change of streams and print new digests"
-        )
+    _check_numpy()
     algorithm, adversary = key.split("/")
     assert trajectory_digest(algorithm, adversary) == DIGESTS[key], key
 
@@ -83,8 +90,109 @@ def test_every_matchup_is_pinned():
     assert set(DIGESTS) == {f"{alg}/{adv}" for alg in ALGORITHMS for adv in ADVERSARIES}
 
 
+# Replayed matchups at T=2000: a cdf block holds 910 rounds at n=16, so each
+# run spans three blocks (the booster's blocks hold a third as many rounds).
+SUMMARY_RUNS, SUMMARY_EPSILON = 40, 0.2
+SUMMARIES = {
+    "cdfest/cdf": ("cdfest", "uniform", "cdf"),
+    "cdfest/median": ("cdfest", "uniform", "median"),
+    "quantile-0.75": (AlgorithmSpec("quantile", {"tau": 0.75}), "uniform", None),
+    "quantile-0.25": (AlgorithmSpec("quantile", {"tau": 0.25}), "uniform", None),
+    "boosted-cdfest": (
+        AlgorithmSpec("boosted", {"delta": 0.25, "copies": 3, "inner": "cdfest"}), "uniform", None
+    ),
+    "boosted-meanest": (AlgorithmSpec("boosted", {"delta": 0.25, "copies": 3}), "uniform", None),
+    # i.i.d. segments on one rng are plain uniform play, so this pins the
+    # amplifier's batch path to the plain stream; coin segments each differ
+    "cdfest/amplified-uniform": ("cdfest", AdversarySpec("amplified", {"inner": "uniform"}), None),
+    "cdfest/amplified-coin": ("cdfest", AdversarySpec("amplified", {"inner": "coin"}), None),
+}
+SUMMARY_FIELDS = (
+    "mean_error", "mse", "success_rate", "final_errors", "anytime_rate",
+    "index_mse", "index_mse_stderr", "success_at_horizon", "success_anytime",
+)
+
+SUMMARY_DIGESTS = {
+    "boosted-cdfest": "fc88c50a7e84ff2c303c2cad85a3f145aeaeb6358c36e8ff4545a30d84a08aaa",
+    "boosted-meanest": "21d1d82af33b41035d1bce07b5fe74c82877a084a50460e780bf4fc2ea677a3d",
+    "cdfest/amplified-coin": "4c8a1bbe7f5eff56e431746c8ef7df1e1063642a70d808f15b50aa2b21e13775",
+    "cdfest/amplified-uniform": "91220f31598feb02321f7003f92faaa9e651a7752e77ba86ab84c7c49aafe246",
+    "cdfest/cdf": "91220f31598feb02321f7003f92faaa9e651a7752e77ba86ab84c7c49aafe246",
+    "cdfest/median": "a7f56efad4a03ea299969c967bf852827df0fc17b674a28fb96ba52a94377a78",
+    "quantile-0.25": "48b7095c39d10816033d2ba79620a9fbb307ac31afcac0f39eaf3cfcd67bcaf2",
+    "quantile-0.75": "d755d273afd7564c2828a4dd82f44017075addfffb0717491e64b444d7192dea",
+}
+
+SEARCHES = {
+    "cdfest/uniform": (GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=SEED), 0.2),
+    "meanest/mirror": (GameConfig(n=8, horizon=1, algorithm="meanest", adversary="mirror", seed=SEED), 0.1),
+}
+SEARCH_RUNS = 200
+
+SEARCH_DIGESTS = {
+    "cdfest/uniform": "8327d02a629ef1aed8771650cdde27876bd9235903f0ddfabf5ae829611c5373",
+    "meanest/mirror": "04d32469e0efb5aa870a9247168105e1452a960a57d0c82dc97359f489fdf1d5",
+}
+
+
+def _update(h, name: str, value) -> None:
+    if value is None or isinstance(value, float):
+        h.update(f"{name}:{value!r};".encode())
+        return
+    column = np.ascontiguousarray(value)
+    h.update(f"{name}:{column.dtype.str}:{column.shape}:".encode())
+    h.update(column.tobytes())
+
+
+def summary_digest(key: str, workers: int = 1) -> str:
+    algorithm, adversary, metric = SUMMARIES[key]
+    config = GameConfig(
+        n=N, horizon=HORIZON, algorithm=algorithm, adversary=adversary, metric=metric, seed=SEED
+    )
+    summary = monte_carlo(config, SUMMARY_RUNS, epsilon=SUMMARY_EPSILON, workers=workers)
+    h = hashlib.sha256()
+    for name in SUMMARY_FIELDS:
+        _update(h, name, getattr(summary, name))
+    return h.hexdigest()
+
+
+def search_digest(key: str) -> str:
+    config, epsilon = SEARCHES[key]
+    est = estimate_query_complexity(config, epsilon, runs=SEARCH_RUNS)
+    return hashlib.sha256(repr((est.t_hat, est.resolved, est.curve)).encode()).hexdigest()
+
+
+def _check_numpy():
+    if np.__version__ != RECORDED_NUMPY:
+        pytest.fail(
+            f"digests were recorded with numpy {RECORDED_NUMPY}, this is numpy "
+            f"{np.__version__}; check the change of streams and print new digests"
+        )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("key", sorted(SUMMARY_DIGESTS))
+def test_monte_carlo_summaries_match_the_recorded_digests(key, workers):
+    _check_numpy()
+    assert summary_digest(key, workers) == SUMMARY_DIGESTS[key], key
+
+
+@pytest.mark.parametrize("key", sorted(SEARCH_DIGESTS))
+def test_search_results_match_the_recorded_digests(key):
+    _check_numpy()
+    assert search_digest(key) == SEARCH_DIGESTS[key], key
+
+
+def test_every_summary_and_search_is_pinned():
+    assert set(SUMMARY_DIGESTS) == set(SUMMARIES) and set(SEARCH_DIGESTS) == set(SEARCHES)
+
+
 if __name__ == "__main__":
     print(f'RECORDED_NUMPY = "{np.__version__}"')
     for alg in ALGORITHMS:
         for adv in ADVERSARIES:
             print(f'    "{alg}/{adv}": "{trajectory_digest(alg, adv)}",')
+    for key in sorted(SUMMARIES):
+        print(f'    "{key}": "{summary_digest(key)}",')
+    for key in sorted(SEARCHES):
+        print(f'    "{key}": "{search_digest(key)}",')
