@@ -24,13 +24,20 @@ queries), the run is replayed as arrays from the very same random streams,
 else it is played round by round. The wrappers have the batch methods when
 what they wrap does, and so does the anytime amplifier. Both engines score
 with one kernel (_score_run, _score_block) in blocks of rounds: the round
-loop buffers each round's estimate, the replay takes estimate_batch's rows.
-Either engine yields the same columnar Trajectory, which is what sinks and
-the CSV export consume. Both engines play a run from round 1 and score it
-from a given start round: Monte Carlo scores every round, and the
-query-complexity search scores only the rounds past its longest probe. Both
-callers run their chunks through one worker (_chunk_worker) and one pool
-map (_run_chunks).
+loop buffers each round's estimate, the replay takes estimate_batch's
+blocks. A block has one column per round: a CDF block is (n+2) x rounds,
+one row per value, so the cumulative sums over rounds, the division by t
+and the reductions over values run along whole rows, and a block of scalar
+estimates is one row. Either engine yields the same columnar Trajectory,
+which is what sinks and the CSV export consume. Both engines play a run
+from round 1 and score it from a given start round: Monte Carlo scores
+every round, and the query-complexity search scores only the rounds past
+its longest probe. The replay fast-forwards the algorithm over the rounds
+before start with ingest_batch, which advances its state without building
+estimates, so it builds estimates for the scored rounds only. Both callers
+run their chunks through one worker (_chunk_worker) and one pool map
+(_run_chunks). A process pool is opened, and multiprocessing imported,
+only when workers > 1 (_open_pool).
 """
 
 from __future__ import annotations
@@ -39,10 +46,9 @@ import contextlib
 import dataclasses
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -59,6 +65,9 @@ from . import estimators as est_mod
 from .adversaries import Adversary
 from .estimators import OnlineAlgorithm
 
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
+
 ROLE_ALGORITHM = 1
 ROLE_ADVERSARY = 2
 
@@ -66,9 +75,9 @@ ROLE_ADVERSARY = 2
 # every floating-point sum) is identical no matter how many workers run it.
 CHUNK_RUNS = 32
 
-# Both engines score a run in row blocks of about this many cells (rows x
-# (n+2), or rows for the mean metric), so scoring memory is O(block), plus
-# O(T) for the run's columns, whatever the horizon.
+# Both engines score a run in blocks of about this many cells ((n+2) x
+# rounds, or rounds for the mean metric), so scoring memory is O(block),
+# plus O(T) for the run's columns, whatever the horizon.
 REPLAY_BLOCK_CELLS = 1 << 14
 
 
@@ -481,19 +490,21 @@ def _play(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool, s
     ProtocolError at its own round, before the next round is played. The
     adversary gets past[:i], a read-only view of the query column, so one
     that writes into it raises numpy's ValueError. Each round's estimate
-    goes into a block buffer (the CDF values of a CDF-kind algorithm, else
-    the scalar estimate), and _score_run scores full blocks.
+    goes into its column of a block buffer allocated once per run (the CDF
+    values of a CDF-kind algorithm, else the scalar estimate), and
+    _score_run scores full blocks.
     """
     n, horizon = config.n, config.horizon
     kind = alg.kind
     queries, samples, feedback = (np.empty(horizon, dtype=np.int64) for _ in range(3))
     past = queries.view()
     past.flags.writeable = False
-    block = _block_rows(metric, n)
+    block = _block_rounds(metric, n)
 
     def blocks():
-        shape = (block, n + 2) if kind == "cdf" else block
-        rows = np.empty(shape, dtype=np.int64 if kind in ("median", "quantile") else np.float64)
+        shape = (n + 2, block) if kind == "cdf" else block
+        buffer = np.empty(shape, dtype=np.int64 if kind in ("median", "quantile") else np.float64)
+        slots = buffer.T  # slots[r] is round r's column
         for i in range(horizon):
             t, r = i + 1, i % block
             q = alg.next_query(alg_rng)
@@ -513,17 +524,17 @@ def _play(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool, s
                 snap = snap.values
             elif kind != "mean" and not 1 <= int(snap) <= n + 1:
                 raise ProtocolError("algorithm", t, f"index estimate {int(snap)} outside 1..{n + 1}")
-            rows[r] = snap
+            slots[r] = snap
             if r == block - 1 or t == horizon:
-                yield i - r, rows[: r + 1]
+                yield i - r, buffer[..., : r + 1]
 
     return _score_run(
         config, metric, tau, alg, queries, samples, feedback, blocks(), keep_trajectory, start
     )
 
 
-def _block_rows(metric: str, n: int, copies: int = 1) -> int:
-    """Rows per scoring block: about REPLAY_BLOCK_CELLS cells, a row holding copies estimates."""
+def _block_rounds(metric: str, n: int, copies: int = 1) -> int:
+    """Rounds per scoring block: about REPLAY_BLOCK_CELLS cells, a round holding copies estimates."""
     return max(1, REPLAY_BLOCK_CELLS // ((1 if metric == "mean" else n + 2) * copies))
 
 
@@ -533,22 +544,24 @@ def _score_block(
     """Errors of rounds t0+1 .. t0+len(samples), and their scalar estimates.
 
     counts holds the per-value sample counts of rounds 1..t0 and is advanced
-    in place. est holds the algorithm's estimates of the same rounds: means
-    for the mean metric, else CDF rows or a column of indices. Row r of the
-    running counts holds, for each value v, the samples <= v among rounds
-    1..t0+r+1: one comparison of the block's samples with 0..n+1, summed down
-    the rows, plus the cumulative counts of the rounds before. Each round's
-    empirical CDF is those integers over t, so every float operation is the
-    one a whole-horizon pass does, and errors do not depend on how the
-    horizon is cut into blocks. Only the entries an error reads are divided:
-    values 1..n+1 for the cdf metric, the two around each median index
-    otherwise. The scalar estimates (the median index for a CDF) are
-    returned when want_estimates, else None. The quantile metric scores the
-    median index of CDF rows against tau: those are the rows of the median
-    estimator inside a quantile wrapper.
+    in place. est holds the algorithm's estimates of the same rounds, one
+    column per round: a row of means for the mean metric, else an
+    (n+2) x rounds CDF block (one row per value) or a row of indices. The
+    running counts have est's layout: entry (v, r) holds the samples <= v
+    among rounds 1..t0+r+1, one comparison of the block's samples with
+    0..n+1 summed along the rounds, plus the cumulative counts of the rounds
+    before. Each round's empirical CDF is those integers over t, so every
+    float operation is the one a whole-horizon pass does, and errors do not
+    depend on how the horizon is cut into blocks. Only the entries an error
+    reads are divided: values 1..n+1 for the cdf metric, the two around each
+    median index otherwise. The division by t and the max over values run
+    along whole rows of rounds. The scalar estimates (the median index for a
+    CDF) are returned when want_estimates, else None. The quantile metric
+    scores the median index of CDF blocks against tau: those are the blocks
+    of the median estimator inside a quantile wrapper.
     """
-    rows = len(samples)
-    tt = np.arange(t0 + 1, t0 + rows + 1, dtype=np.float64)
+    rounds = len(samples)
+    tt = np.arange(t0 + 1, t0 + rounds + 1, dtype=np.float64)
     if metric == "mean":
         total = int(counts @ np.arange(n + 2))
         counts += np.bincount(samples, minlength=n + 2)
@@ -556,19 +569,23 @@ def _score_block(
     # block temporaries are few and accumulated in place: with many small
     # blocks, each freed array is memory the allocator may hand back and
     # fault in again
-    running = np.cumsum(samples[:, None] <= np.arange(n + 2), axis=0, dtype=np.int64)
-    running += np.cumsum(counts)
+    below = (samples[:, None] <= np.arange(n + 2)).astype(np.int64)
+    below[0] += np.cumsum(counts)
+    # summed round-major into a value-major array, the fastest of the layouts
+    # for numpy's cumulative sum
+    running = np.empty((n + 2, rounds), dtype=np.int64)
+    np.cumsum(below, axis=0, out=running.T)
     counts += np.bincount(samples, minlength=n + 2)
-    med = est if est.ndim == 1 else None  # a column of indices is its own estimate
+    med = est if est.ndim == 1 else None  # a row of indices is its own estimate
     if med is None and (metric != "cdf" or want_estimates):
-        med = np.argmax(est[:, 1:] > 0.5, axis=1) + 1
+        med = np.argmax(est[1:] > 0.5, axis=0) + 1
     if metric == "cdf":
-        f = np.divide(running[:, 1:], tt[:, None])
-        diff = np.subtract(est[:, 1:], f, out=f)
-        errs = np.abs(diff, out=diff).max(axis=1)
+        f = np.divide(running[1:], tt)
+        diff = np.subtract(est[1:], f, out=f)
+        errs = np.abs(diff, out=diff).max(axis=0)
     else:
-        r = np.arange(rows)
-        errs = np.maximum(0.0, np.maximum(running[r, med - 1] / tt - tau, tau - running[r, med] / tt))
+        r = np.arange(rounds)
+        errs = np.maximum(0.0, np.maximum(running[med - 1, r] / tt - tau, tau - running[med, r] / tt))
     return errs, med
 
 
@@ -576,12 +593,14 @@ def _score_run(config, metric, tau, alg, queries, samples, feedback, blocks, kee
     """(errors, squared final index errors or None, Trajectory or None) of one run.
 
     blocks yields (lo, est) for consecutive blocks, once their samples are in
-    place: est holds the estimates of rounds lo+1 .. lo+len(est) as
-    _score_block takes them, in a buffer the next block may overwrite.
-    Rounds before start are played but not scored: the running counts start
-    from their samples, a block that straddles start is scored from start
-    on, and the errors returned are those of rounds start .. horizon (a
-    trajectory is kept with start 1 only). The final CDF's index errors are
+    place: est holds the estimates of rounds lo+1 .. lo+k, one column per
+    round (k = est.shape[-1]), as _score_block takes them, in a buffer the
+    next block may overwrite. Rounds before start are played but not
+    scored: the running counts start from their samples, a block that
+    straddles start (the round loop's) is scored from start on, a block
+    that ends before it is skipped, and the errors returned are those of
+    rounds start .. horizon (a trajectory is kept with start 1 only). The
+    replay's blocks begin at start. The final CDF's index errors are
     computed for a CDF-kind algorithm only.
     """
     n, horizon = config.n, config.horizon
@@ -592,14 +611,14 @@ def _score_run(config, metric, tau, alg, queries, samples, feedback, blocks, kee
     if keep_trajectory:
         estimates = np.empty(horizon, dtype=np.float64 if metric == "mean" else np.int64)
     for lo, est in blocks:
-        hi = lo + len(est)
+        hi = lo + est.shape[-1]
         if hi <= skipped:
             continue
         first = max(lo, skipped)
         if counts is None:  # the round loop fills samples as it plays them
             counts = np.bincount(samples[:first], minlength=n + 2)
         errs[first - skipped : hi - skipped], block_estimates = _score_block(
-            metric, tau, n, counts, first, samples[first:hi], est[first - lo :], keep_trajectory
+            metric, tau, n, counts, first, samples[first:hi], est[..., first - lo :], keep_trajectory
         )
         if keep_trajectory:
             estimates[lo:hi] = block_estimates
@@ -723,9 +742,13 @@ def _replay(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool,
     (O(T)). The adversary gets a read-only view of the queries before the
     first one out of range, as in the round loop, and the earliest round
     with a query or sample out of range raises the round loop's
-    ProtocolError. Estimates then come block by block, so no
-    T x (n+2) array is built; an algorithm whose estimate_batch computes
-    batch_copies estimates per row (the booster) gets that many times fewer.
+    ProtocolError. The algorithm is then fast-forwarded over rounds
+    1..start-1 with one ingest_batch call, which advances its state (and
+    draws a wrapper's coins or routing) as estimate_batch would, but builds
+    no estimates. Estimates of rounds start..horizon come block by block
+    from estimate_batch, (n+2) x rounds for a CDF, so no (n+2) x T array is
+    built; an algorithm whose estimate_batch computes batch_copies estimates
+    per round (the booster) gets that many times fewer rounds per block.
     """
     n, horizon = config.n, config.horizon
     queries = alg.query_batch(alg_rng, horizon)
@@ -739,10 +762,13 @@ def _replay(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool,
     if q_end < horizon:
         raise ProtocolError("algorithm", q_end + 1, f"query {queries[q_end]} outside 1..{n}")
     feedback = samples <= queries
-    block = _block_rows(metric, n, getattr(alg, "batch_copies", 1))
+    skipped = start - 1
+    if skipped:
+        alg.ingest_batch(queries[:skipped], feedback[:skipped])
+    block = _block_rounds(metric, n, getattr(alg, "batch_copies", 1))
     blocks = (
         (lo, alg.estimate_batch(queries[lo : lo + block], feedback[lo : lo + block]))
-        for lo in range(0, horizon, block)
+        for lo in range(skipped, horizon, block)
     )
     return _score_run(
         config, metric, tau, alg, queries, samples, feedback, blocks, keep_trajectory, start
@@ -753,10 +779,10 @@ def _chunk_worker(args) -> dict:
     """Partial sums of runs [lo, hi), each run replayed as arrays when its sides allow.
 
     A run is replayed when the algorithm is cdf-, mean- or quantile-kind,
-    the built algorithm has query_batch/estimate_batch and the built
-    adversary has sample_batch, else it is played round by round. A
-    quantile-kind estimate_batch returns CDF rows whose median index is the
-    estimate, as the quantile wrapper's does. Both engines score with
+    the built algorithm has query_batch, ingest_batch and estimate_batch and
+    the built adversary has sample_batch, else it is played round by round.
+    A quantile-kind estimate_batch returns a CDF block whose median index is
+    each round's estimate, as the quantile wrapper's does. Both engines score with
     _score_run on the same values, so errors, estimates and trajectories
     are bit-identical.
 
@@ -778,8 +804,7 @@ def _chunk_worker(args) -> dict:
             partial = _new_partial(config.horizon - start + 1, config.n, epsilon, alg.kind == "cdf")
         replayable = (
             alg.kind in ("cdf", "mean", "quantile")
-            and hasattr(alg, "query_batch")
-            and hasattr(alg, "estimate_batch")
+            and all(hasattr(alg, m) for m in ("query_batch", "ingest_batch", "estimate_batch"))
             and hasattr(adversary, "sample_batch")
         )
         errs, idx_sq, trajectory = (_replay if replayable else _play)(
@@ -791,6 +816,17 @@ def _chunk_worker(args) -> dict:
     if export:
         partial["exported"] = exported
     return partial
+
+
+def _open_pool(workers: int) -> Executor:
+    """A process pool of workers processes.
+
+    multiprocessing is imported here, when a pool is opened, so that
+    importing the package does not pay for it.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _run_chunks(config, runs, epsilon, workers, pool, start, failed, export=False, receive=None) -> dict:
@@ -808,7 +844,7 @@ def _run_chunks(config, runs, epsilon, workers, pool, start, failed, export=Fals
     partials = []
     with contextlib.ExitStack() as stack:
         if workers > 1 and len(jobs) > 1:
-            pool = pool or stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            pool = pool or stack.enter_context(_open_pool(workers))
         else:
             pool = None
         for part in (pool.map if pool else map)(_chunk_worker, jobs):
@@ -918,7 +954,7 @@ def estimate_query_complexity(
     t_cap: int = 1 << 20,
     workers: int = 1,
     *,
-    _pool: ProcessPoolExecutor | None = None,
+    _pool: Executor | None = None,
 ) -> ComplexityEstimate:
     """Smallest horizon at which the config wins with the target probability.
 
@@ -941,9 +977,10 @@ def estimate_query_complexity(
     2h: every horizon played is one the search asks for, in about half as
     many probes. A probe plays every run again from round 1, on the run's
     own rng lanes, which redraws the same rounds, and scores only the
-    rounds past H; a run that failed before H keeps its failure. Each round
-    of each run is so scored once, and the bisection reads its rates off the
-    totals. Rates are integer counts over runs. All probes share one process
+    rounds past H; a run that failed before H keeps its failure. A replayed
+    run fast-forwards its algorithm over rounds 1..H (see _replay). Each
+    round of each run is so estimated and scored once, and the bisection
+    reads its rates off the totals. Rates are integer counts over runs. All probes share one process
     pool when workers > 1: _pool lends an open one (the CLI sweep holds one
     for all its cells), else the search opens its own.
     """
@@ -975,7 +1012,7 @@ def estimate_query_complexity(
         return rates[horizon]
 
     if workers > 1 and _pool is None:
-        shared = ProcessPoolExecutor(max_workers=workers)
+        shared = _open_pool(workers)
     else:
         shared = contextlib.nullcontext(_pool)
     with shared as pool:

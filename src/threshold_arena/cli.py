@@ -28,7 +28,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .core import ArenaError, ProtocolError, ValidationError
@@ -278,7 +277,7 @@ def cmd_complexity(args) -> int:
 
     cells = []
     # one pool for every cell's probes
-    shared = ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    shared = arena._open_pool(workers) if workers > 1 else contextlib.nullcontext()
     with shared as pool:
         for n, eps in itertools.product(ns, epss):
             config = arena.GameConfig(

@@ -84,11 +84,6 @@ class OnlineAlgorithm:
         raise NotImplementedError
 
 
-def _along(per_row: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """per_row with trailing axes added, so that it broadcasts along each row of cells."""
-    return per_row.reshape(per_row.shape + (1,) * (cells.ndim - per_row.ndim))
-
-
 class _UniformQueries(OnlineAlgorithm):
     """Queries i.i.d. uniform indices whatever the feedback.
 
@@ -96,16 +91,22 @@ class _UniformQueries(OnlineAlgorithm):
     front: query_batch(rng, horizon) equals `horizon` successive next_query
     calls and consumes the rng the same way.
 
-    A subclass keeps one count statistic in self._stat, adds
-    _increments(queries, feedback) to it each round, and turns statistics
-    into estimates with _estimates(stat, t), which takes any leading shape
-    with t broadcast along each statistic (_along). From those two,
+    A subclass keeps one count statistic in self._stat and defines three
+    methods: _increments(queries, feedback), the statistic's increment in
+    each round of a block, with one column per round (a CdfEst block is
+    (n+2) x rounds, one row per value; a MeanEst block is one count per
+    round); _totals(queries, feedback), their sum over the block; and
+    _estimates(stat, t), which turns statistics into estimates and takes
+    any trailing axes, along which t broadcasts. From those,
     estimate_batch(queries, feedback) ingests a block of rounds: it
-    continues from the instance's state and advances it, and its row i
-    equals estimate() after the block's round i+1, bit for bit. So
-    consecutive blocks equal one whole call, and snapshot() after the last
-    block equals live play's. The confidence booster replays its copies
-    from the same two methods.
+    continues from the instance's state and advances it, and its column i
+    equals estimate() after the block's round i+1, bit for bit; its
+    cumulative sums and its division by t run along the rounds.
+    ingest_batch(queries, feedback) advances the state over a block as
+    estimate_batch does, without building a column per round. So
+    consecutive blocks of either kind equal one whole call, and snapshot()
+    after the last block equals live play's. The confidence booster replays
+    its copies from the same methods.
     """
 
     def _query(self, rng: np.random.Generator) -> int:
@@ -115,14 +116,20 @@ class _UniformQueries(OnlineAlgorithm):
         return rng.integers(1, self.n + 1, size=horizon)
 
     def estimate_batch(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
-        """Row i holds the estimate after the block's round i+1 (CDF values or a mean)."""
-        stat = self._increments(queries, feedback)
-        stat[0] += self._stat  # carried into every row by the cumulative sum
-        np.cumsum(stat, axis=0, out=stat)
+        """Column i holds the estimate after the block's round i+1 (CDF values or a mean)."""
+        increments = self._increments(queries, feedback)
+        increments[..., 0] += self._stat  # carried into every column by the cumulative sum
+        stat = np.empty(increments.shape, dtype=np.int64)
+        np.cumsum(increments, axis=-1, out=stat)
         tt = np.arange(self.t + 1, self.t + len(queries) + 1, dtype=np.float64)
-        self._stat = stat[-1].copy()
+        self._stat = stat[..., -1].copy()
         self.t += len(queries)
-        return self._estimates(stat, _along(tt, stat))
+        return self._estimates(stat, tt)
+
+    def ingest_batch(self, queries: np.ndarray, feedback: np.ndarray) -> None:
+        """Advance the state over a block of rounds, as estimate_batch does, building no estimates."""
+        self._stat = self._stat + self._totals(queries, feedback)
+        self.t += len(queries)
 
     def _check_observed(self) -> None:
         if self.t == 0:
@@ -152,11 +159,17 @@ class CdfEst(_UniformQueries):
         hit = np.flatnonzero(feedback)
         tally = np.zeros((len(queries), self.n + 2), dtype=np.int64)
         tally[hit, queries[hit]] = 1
-        return tally
+        # one row per value, each row's rounds strided: numpy's cumulative sum
+        # along them into a value-major array is about twice as fast as along
+        # contiguous rounds
+        return tally.T
+
+    def _totals(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
+        return np.bincount(queries[feedback.astype(bool, copy=False)], minlength=self.n + 2)
 
     def _estimates(self, tally: np.ndarray, t) -> np.ndarray:
         values = tally * (self.n / t)
-        values[..., -1] = 1.0
+        values[-1] = 1.0
         return values
 
     def estimate(self) -> CdfEstimate:
@@ -186,6 +199,9 @@ class MeanEst(_UniformQueries):
 
     def _increments(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
         return (feedback == 0).astype(np.int64)
+
+    def _totals(self, queries: np.ndarray, feedback: np.ndarray) -> int:
+        return len(feedback) - int(np.count_nonzero(feedback))
 
     def _estimates(self, above, t):
         return 1.0 + (self.n / t) * above
@@ -507,22 +523,21 @@ def _median_of(alg: OnlineAlgorithm) -> int:
 
 
 def _live_median(values: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """np.median over axis 0 of the entries where live holds, bit for bit.
+    """np.median over the last axis of the entries where live holds, bit for bit.
 
-    values holds one estimate per copy along axis 0; live is boolean with
-    values' leading shape, and every lane needs a live entry. Entries that
-    are not live sort last as +inf, so a lane with c live entries takes the
-    sorted entries (c-1)//2 and c//2 and averages them: for even c that is
-    the mean of the middle pair that np.median takes, and for odd c both are
-    the middle entry, and (a + a) / 2 == a exactly.
+    values holds one estimate per copy along its last axis; live is boolean
+    with values' trailing shape, and every lane needs a live entry. Entries
+    that are not live sort last as +inf, so a lane with c live entries takes
+    the sorted entries (c-1)//2 and c//2 and averages them: for even c that
+    is the mean of the middle pair that np.median takes, and for odd c both
+    are the middle entry, and (a + a) / 2 == a exactly.
     """
-    copies = len(values)
-    ordered = np.sort(np.where(_along(live, values), values, np.inf), axis=0)
-    ordered = ordered.reshape(copies, live[0].size, -1)
-    count = live.reshape(copies, -1).sum(axis=0)
-    lane = np.arange(len(count))
-    middle = ordered[(count - 1) // 2, lane] + ordered[count // 2, lane]
-    return middle.reshape(values.shape[1:]) / 2
+    ordered = np.sort(np.where(live, values, np.inf), axis=-1)
+    count = live.sum(axis=-1).ravel()
+    ordered = ordered.reshape(-1, count.size, ordered.shape[-1])
+    lane = np.arange(count.size)
+    middle = ordered[:, lane, (count - 1) // 2] + ordered[:, lane, count // 2]
+    return middle.reshape(values.shape[:-1]) / 2
 
 
 class QuantileReduction(OnlineAlgorithm):
@@ -539,8 +554,10 @@ class QuantileReduction(OnlineAlgorithm):
     the inner algorithm on the same generator would interleave with them.
     Built over a CDF-kind inner algorithm with batch methods, the wrapper
     gets them too: query_batch and batch_copies (else 1) are the inner's,
-    and estimate_batch returns the inner CDF rows fed the rewritten
-    feedback, whose median index is the estimate.
+    estimate_batch returns the inner CDF block fed the rewritten feedback,
+    whose median index is each round's estimate, and ingest_batch feeds the
+    rewritten feedback to the inner ingest_batch. Both draw the block's
+    coins first, as live play draws them.
     """
 
     kind = "quantile"
@@ -557,9 +574,12 @@ class QuantileReduction(OnlineAlgorithm):
         self.tau = float(tau)
         self._rng = rng
         self._p = 1.0 / (2.0 * tau) if tau > 0.5 else 1.0 / (2.0 * (1.0 - tau))
-        if inner.kind == "cdf" and hasattr(inner, "query_batch") and hasattr(inner, "estimate_batch"):
+        if inner.kind == "cdf" and all(
+            hasattr(inner, m) for m in ("query_batch", "ingest_batch", "estimate_batch")
+        ):
             self.query_batch = inner.query_batch
             self.estimate_batch = self._estimate_batch
+            self.ingest_batch = self._ingest_batch
             self.batch_copies = getattr(inner, "batch_copies", 1)
 
     def _query(self, rng: np.random.Generator) -> int:
@@ -579,12 +599,19 @@ class QuantileReduction(OnlineAlgorithm):
     def snapshot(self) -> int:
         return _median_of(self.inner)
 
-    def _estimate_batch(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
+    def _rewrite_batch(self, feedback: np.ndarray) -> np.ndarray:
+        """A block's feedback as the inner algorithm sees it; advances t over the block."""
         if self.tau != 0.5:
-            coins = self._rng.random(len(queries)) < self._p
+            coins = self._rng.random(len(feedback)) < self._p
             feedback = feedback & coins if self.tau > 0.5 else feedback | ~coins
-        self.t += len(queries)
-        return self.inner.estimate_batch(queries, feedback)
+        self.t += len(feedback)
+        return feedback
+
+    def _estimate_batch(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
+        return self.inner.estimate_batch(queries, self._rewrite_batch(feedback))
+
+    def _ingest_batch(self, queries: np.ndarray, feedback: np.ndarray) -> None:
+        self.inner.ingest_batch(queries, self._rewrite_batch(feedback))
 
 
 class ConfidenceBoost(OnlineAlgorithm):
@@ -599,9 +626,10 @@ class ConfidenceBoost(OnlineAlgorithm):
     The routing comes from rng, which must be a lane of its own. When the
     copies are cdf- or mean-kind uniform queriers, a round's query does not
     depend on which copy it is routed to, so the booster is built with batch
-    methods: query_batch is a copy's, and estimate_batch replays every copy
-    at once. Its rows hold k copies' estimates, which batch_copies reports
-    so the replay can size its blocks.
+    methods: query_batch is a copy's, estimate_batch replays every copy at
+    once, and ingest_batch hands each copy its routed rounds. Each of
+    estimate_batch's rounds holds k copies' estimates, which batch_copies
+    reports so the replay can size its blocks.
     """
 
     def __init__(
@@ -630,6 +658,7 @@ class ConfidenceBoost(OnlineAlgorithm):
         if self.kind in ("cdf", "mean") and all(isinstance(c, _UniformQueries) for c in self.copies):
             self.query_batch = self.copies[0].query_batch
             self.estimate_batch = self._estimate_batch
+            self.ingest_batch = self._ingest_batch
             self.batch_copies = len(self.copies)
 
     @property
@@ -652,7 +681,7 @@ class ConfidenceBoost(OnlineAlgorithm):
             raise ValidationError("no observations yet")
         everyone = np.ones(len(live), dtype=bool)
         if self.kind == "cdf":
-            values = _live_median(np.stack([s.values for s in live]), everyone)
+            values = _live_median(np.stack([s.values for s in live], axis=-1), everyone)
             return CdfEstimate._trusted(self.n, values)
         if self.kind == "mean":
             return float(_live_median(np.array(live, dtype=np.float64), everyone))
@@ -660,33 +689,42 @@ class ConfidenceBoost(OnlineAlgorithm):
         return estimates[(len(estimates) - 1) // 2]
 
     def _estimate_batch(self, queries: np.ndarray, feedback: np.ndarray) -> np.ndarray:
-        """Row i holds snapshot() after the block's round i+1: median CDF values or means.
+        """Column i holds snapshot() after the block's round i+1: median CDF values or means.
 
         The block's routing is drawn as live play draws it. Each copy's
         statistic and round count after every round come from cumulative
-        sums over one-hot routing, copies first, and the copies' _estimates
-        turn them into estimates; a copy with no round yet is not live. Every
-        copy's state is advanced, so snapshot() afterwards equals live play's.
+        sums over one-hot routing along the rounds, with the copies along a
+        last axis, and the copies' _estimates turn them into estimates; a
+        copy with no round yet is not live. Every copy's state is advanced,
+        so snapshot() afterwards equals live play's.
         """
-        rows, k = len(queries), self.k
+        rounds, k = len(queries), self.k
         first = self.copies[0]
-        route = self._rng.integers(k, size=rows)
-        played = np.arange(rows)
+        route = self._rng.integers(k, size=rounds)
+        played = np.arange(rounds)
         increments = first._increments(queries, feedback)
-        stat = np.zeros((k,) + increments.shape, dtype=np.int64)
-        stat[route, played] = increments
-        stat[:, 0] += np.array([c._stat for c in self.copies])
-        np.cumsum(stat, axis=1, out=stat)
-        t = np.zeros((k, rows), dtype=np.int64)
-        t[route, played] = 1
-        t[:, 0] += [c.t for c in self.copies]
-        np.cumsum(t, axis=1, out=t)
+        stat = np.zeros(increments.shape + (k,), dtype=np.int64)
+        stat[..., played, route] = increments
+        stat[..., 0, :] += np.array([c._stat for c in self.copies]).T
+        np.cumsum(stat, axis=-2, out=stat)
+        t = np.zeros((rounds, k), dtype=np.int64)
+        t[played, route] = 1
+        t[0] += [c.t for c in self.copies]
+        np.cumsum(t, axis=0, out=t)
         # each copy's statistic becomes its row of one fresh array
-        for copy, last, count in zip(self.copies, stat[:, -1].copy(), t[:, -1].tolist()):
+        finals = stat[..., -1, :].T.copy()
+        for copy, last, count in zip(self.copies, finals, t[-1].tolist()):
             copy._stat = last
             copy.t = count
-        self.t += rows
-        return _live_median(first._estimates(stat, _along(np.maximum(t, 1), stat)), t > 0)
+        self.t += rounds
+        return _live_median(first._estimates(stat, np.maximum(t, 1)), t > 0)
+
+    def _ingest_batch(self, queries: np.ndarray, feedback: np.ndarray) -> None:
+        route = self._rng.integers(self.k, size=len(queries))
+        for i, copy in enumerate(self.copies):
+            mine = route == i
+            copy.ingest_batch(queries[mine], feedback[mine])
+        self.t += len(queries)
 
 
 # ---------------------------------------------------------------------------

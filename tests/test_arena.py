@@ -1045,8 +1045,20 @@ def test_replay_memory_is_bounded_in_time_blocks():
 @pytest.mark.parametrize("start", [1, 909, 910, 911])  # 910-row blocks at n=16
 @pytest.mark.parametrize(
     "algorithm,metric",
-    [("cdfest", "cdf"), ("cdfest", "median"), ("halving", "median"), ("meanest", "mean")],
-    ids=["cdf", "median", "median-round-loop", "mean"],
+    [
+        ("cdfest", "cdf"),
+        ("cdfest", "median"),
+        ("halving", "median"),
+        ("meanest", "mean"),
+        (AlgorithmSpec("quantile", {"tau": 0.75}), "quantile"),
+        (AlgorithmSpec("quantile", {"tau": 0.25}), "quantile"),
+        (AlgorithmSpec("boosted", {"delta": 0.25, "copies": 3, "inner": "cdfest"}), "cdf"),
+        (AlgorithmSpec("boosted", {"delta": 0.25, "copies": 3}), "mean"),
+    ],
+    ids=[
+        "cdf", "median", "median-round-loop", "mean", "quantile-0.75", "quantile-0.25",
+        "boosted-cdf", "boosted-mean",
+    ],
 )
 def test_run_scored_from_start_is_the_tail_of_the_whole_run(algorithm, metric, start):
     import threshold_arena.arena as arena_mod
@@ -1058,7 +1070,7 @@ def test_run_scored_from_start_is_the_tail_of_the_whole_run(algorithm, metric, s
     def scored_from(first):
         alg, adversary, alg_rng = arena_mod._build_sides(config, 3)
         engine = arena_mod._play if algorithm == "halving" else arena_mod._replay
-        return engine(config, metric, 0.5, alg, adversary, alg_rng, False, first)
+        return engine(config, *arena_mod._metric_of(config, alg), alg, adversary, alg_rng, False, first)
 
     whole_errs, whole_idx, _ = scored_from(1)
     errs, idx, _ = scored_from(start)
@@ -1242,33 +1254,60 @@ class TestQueryComplexity:
         assert all(type(rate) is float for _, rate in est.curve)
 
     @pytest.mark.parametrize(
-        "config,epsilon",
+        "config,epsilon,t_cap",
         [
-            (GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=8), 0.2),
+            (GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=8), 0.2, 1 << 20),
             (
                 GameConfig(
                     n=8, horizon=1, algorithm="meanest", adversary="uniform", seed=2,
                     anytime=True, burn_in=6,
                 ),
-                0.3,
+                0.3, 1 << 20,
             ),
+            (
+                # many probes, and runs that fail early keep their failure
+                GameConfig(
+                    n=4, horizon=1, algorithm="cdfest", adversary="uniform", seed=1,
+                    anytime=True, burn_in=40,
+                ),
+                0.3, 256,
+            ),
+            (GameConfig(n=8, horizon=1, algorithm="meanest", adversary="uniform", seed=2), 0.1, 1 << 20),
         ],
-        ids=["cdf", "anytime-burn-in"],
+        ids=["cdf", "anytime-burn-in", "anytime-early-failures", "mean"],
     )
-    def test_search_scores_each_round_of_each_run_once(self, config, epsilon, monkeypatch):
+    def test_search_scores_each_round_of_each_run_once(self, config, epsilon, t_cap, monkeypatch):
         import threshold_arena.arena as arena_mod
+        import threshold_arena.estimators as est_mod
 
-        scored = []
+        scored, built, ingested = [], [], []
         score_block = arena_mod._score_block
+        uniform = est_mod._UniformQueries
+        estimate_batch, ingest_batch = uniform.estimate_batch, uniform.ingest_batch
 
         def counted(metric, tau, n, counts, t0, samples, *rest):
             scored.append(len(samples))
             return score_block(metric, tau, n, counts, t0, samples, *rest)
 
+        def counted_estimates(self, queries, feedback):
+            built.append(len(queries))
+            return estimate_batch(self, queries, feedback)
+
+        def counted_ingests(self, queries, feedback):
+            ingested.append(len(queries))
+            return ingest_batch(self, queries, feedback)
+
         monkeypatch.setattr(arena_mod, "_score_block", counted)
-        est = estimate_query_complexity(config, epsilon, runs=200)
+        monkeypatch.setattr(uniform, "estimate_batch", counted_estimates)
+        monkeypatch.setattr(uniform, "ingest_batch", counted_ingests)
+        played = _record_probes(monkeypatch)
+        est = estimate_query_complexity(config, epsilon, runs=200, t_cap=t_cap)
         longest = max(horizon for horizon, _ in est.curve)
         assert len(est.curve) > 2 and sum(scored) == 200 * longest
+        # estimates are built for the scored rounds only: each probe
+        # fast-forwards every run over the rounds the probes before it scored
+        assert sum(built) == 200 * longest == 200 * max(played)
+        assert sum(ingested) == 200 * sum(played[:-1])
 
     @pytest.mark.parametrize(
         "config,epsilon,t_cap,probes",

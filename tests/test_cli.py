@@ -1,9 +1,7 @@
-import contextlib
 import json
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -549,21 +547,35 @@ def test_failed_run_keeps_the_earlier_output(tmp_path):
 
 def test_complexity_sweep_holds_one_pool(tmp_path, monkeypatch):
     made = []
+    open_pool = arena_mod._open_pool
 
-    class CountedPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            super().__init__(*args, **kwargs)
+    def counted(workers):
+        made.append(workers)
+        return open_pool(workers)
 
-    monkeypatch.setattr(arena_mod, "ProcessPoolExecutor", CountedPool)
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(arena_mod, "_open_pool", counted)
     argv = ["complexity", "--algo", "meanest", "--adv", "uniform", "--n", "8,16",
             "--eps", "0.5,0.25", "--runs", "200", "--seed", "3", "--workers", "2"]
     assert main(argv + ["--out-dir", str(tmp_path / "shared")]) == 0
     assert len(made) == 1
-    # without the sweep's pool, every cell's search opens its own
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", lambda max_workers: contextlib.nullcontext())
+    # when the sweep's pool is not lent to the searches, every cell's search opens its own
+    search = arena_mod.estimate_query_complexity
+    monkeypatch.setattr(
+        arena_mod, "estimate_query_complexity", lambda *args, _pool=None, **kw: search(*args, **kw)
+    )
     assert main(argv + ["--out-dir", str(tmp_path / "per-cell")]) == 0
-    assert len(made) == 1 + 4
+    assert len(made) == 1 + 1 + 4  # the sweep's own pool, then one per cell
     shared, per_cell = (tmp_path / name / "complexity.json" for name in ("shared", "per-cell"))
     assert shared.read_bytes() == per_cell.read_bytes()
+
+
+def test_importing_the_package_imports_no_process_pool():
+    # a pool is imported where one is opened, so startup does not pay for it
+    env = {**os.environ, "PYTHONPATH": str(Path(threshold_arena.__file__).parents[1])}
+    code = (
+        "import sys, threshold_arena, threshold_arena.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

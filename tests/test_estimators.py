@@ -170,7 +170,7 @@ def test_batch_methods_replay_live_play(cls):
         assert alg.next_query(g_live) == queries[t]
         alg.observe(int(feedback[t]))
         live = alg.estimate()
-        assert np.array_equal(batch[t], live.values if cls is CdfEst else live)
+        assert np.array_equal(batch[..., t], live.values if cls is CdfEst else live)
     assert g_batch.random() == g_live.random()  # same rng consumption
 
     # uneven consecutive blocks, one of a single row, equal the whole call,
@@ -178,8 +178,8 @@ def test_batch_methods_replay_live_play(cls):
     blocked = cls(n)
     cuts = [0, 13, 14, 41, horizon]
     parts = [blocked.estimate_batch(queries[a:b], feedback[a:b]) for a, b in zip(cuts, cuts[1:])]
-    assert [len(p) for p in parts] == [13, 1, 27, 19]
-    assert np.array_equal(np.concatenate(parts), batch)
+    assert [p.shape[-1] for p in parts] == [13, 1, 27, 19]
+    assert np.array_equal(np.concatenate(parts, axis=-1), batch)
     assert blocked.t == alg.t == horizon
     if cls is CdfEst:
         assert np.array_equal(blocked.snapshot().values, alg.snapshot().values)
@@ -206,16 +206,16 @@ def test_wrapper_batch_methods_replay_live_play(name):
     feedback = samples <= queries
     cuts = [0, 13, 14, 41, horizon]
     rows = np.concatenate(
-        [batch.estimate_batch(queries[a:b], feedback[a:b]) for a, b in zip(cuts, cuts[1:])]
+        [batch.estimate_batch(queries[a:b], feedback[a:b]) for a, b in zip(cuts, cuts[1:])], axis=-1
     )
     for t in range(horizon):
         assert live.next_query(g_live) == queries[t]
         live.observe(int(feedback[t]))
         if name.startswith("quantile"):
-            assert np.array_equal(rows[t], live.inner.snapshot().values)
-            assert median_from_cdf(CdfEstimate(n, rows[t])) == live.snapshot()
+            assert np.array_equal(rows[:, t], live.inner.snapshot().values)
+            assert median_from_cdf(CdfEstimate(n, rows[:, t])) == live.snapshot()
         elif name == "boosted-cdf":
-            assert np.array_equal(rows[t], live.snapshot().values)
+            assert np.array_equal(rows[:, t], live.snapshot().values)
         else:
             assert rows[t] == live.snapshot()
     assert g_batch.random() == g_live.random()  # same rng consumption
@@ -234,6 +234,49 @@ def test_wrapper_batch_methods_replay_live_play(name):
         assert batch.snapshot() == live.snapshot()
 
 
+_FAST_FORWARD = {
+    "cdfest": lambda g: CdfEst(7),
+    "meanest": lambda g: MeanEst(7),
+    **_BATCH_WRAPPERS,
+}
+
+
+@pytest.mark.parametrize("cut", [0, 1, 20, 60])  # the whole call runs in blocks of 20
+@pytest.mark.parametrize("name", sorted(_FAST_FORWARD))
+def test_ingest_batch_then_estimate_batch_is_the_tail_of_one_replay(name, cut):
+    n, horizon = 7, 60
+    samples = rng(4).integers(1, n + 2, size=horizon)
+    whole, forwarded = _FAST_FORWARD[name](rng(6)), _FAST_FORWARD[name](rng(6))
+    queries = whole.query_batch(rng(5), horizon)
+    feedback = samples <= queries
+    rows = np.concatenate(
+        [whole.estimate_batch(queries[a : a + 20], feedback[a : a + 20]) for a in range(0, horizon, 20)],
+        axis=-1,
+    )
+    assert forwarded.ingest_batch(queries[:cut], feedback[:cut]) is None
+    assert forwarded.t == cut
+    if cut < horizon:
+        tail = forwarded.estimate_batch(queries[cut:], feedback[cut:])
+        assert tail.dtype == rows.dtype and np.array_equal(tail, rows[..., cut:])
+    # the state afterwards is the whole replay's
+    assert forwarded.t == whole.t == horizon
+    final, expect = forwarded.snapshot(), whole.snapshot()
+    if hasattr(expect, "values"):
+        assert np.array_equal(final.values, expect.values)
+    else:
+        assert type(final) is type(expect) and final == expect
+    # and so is every uniform querier's statistic: the bare one, a wrapper's inner or each copy
+    parts = [(forwarded, whole)]
+    if hasattr(whole, "inner"):
+        parts.append((forwarded.inner, whole.inner))
+    if hasattr(whole, "copies"):
+        parts.extend(zip(forwarded.copies, whole.copies))
+    for a, b in parts:
+        assert a.t == b.t and np.array_equal(getattr(a, "_stat", 0), getattr(b, "_stat", 0))
+    if hasattr(whole, "_rng"):  # the wrapper's own lane is left where the replay leaves it
+        assert forwarded._rng.random() == whole._rng.random()
+
+
 def test_live_median_equals_np_median_bitwise():
     from threshold_arena.estimators import _live_median
 
@@ -245,10 +288,11 @@ def test_live_median_equals_np_median_bitwise():
     live[g.integers(copies, size=lanes), np.arange(lanes)] = True
     counts = live.sum(axis=0)
     assert {1, 2, 3, 4}.issubset(set(counts.tolist())) and (counts < copies).any()
-    rows = _live_median(values, live)
-    means = _live_median(values[:, :, 0], live)
+    # copies along the last axis, as the booster lays them out
+    rows = _live_median(values.transpose(2, 1, 0), live.T)
+    means = _live_median(values[:, :, 0].T, live.T)
     for r in range(lanes):
-        assert np.array_equal(rows[r], np.median(values[live[:, r], r], axis=0))
+        assert np.array_equal(rows[:, r], np.median(values[live[:, r], r], axis=0))
         assert means[r] == np.median(values[live[:, r], r, 0])
     # the booster's snapshot skips idle copies and takes the same median
     boost = ConfidenceBoost(lambda: CdfEst(4), 0.25, rng(3), copies=4)
