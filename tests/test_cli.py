@@ -9,7 +9,6 @@ import pytest
 
 import threshold_arena
 import threshold_arena.arena as arena_mod
-import threshold_arena.cli as cli_mod
 from threshold_arena import (
     AdversarySpec,
     GameConfig,
