@@ -75,6 +75,15 @@ ROLE_ADVERSARY = 2
 # every floating-point sum) is identical no matter how many workers run it.
 CHUNK_RUNS = 32
 
+# A search probe whose runs replay as arrays plays at least this many rounds
+# (at most t_cap). Rounds of such a probe are cheap and its runs are not: at
+# n=16 on a 2-core machine, a 400-run probe took 53 ms at horizon 8 and 140
+# ms at 1024 for cdfest vs uniform, and 36 and 46 ms for meanest vs mirror,
+# most of it the per-run setup (rng lanes, builds, small numpy calls). So
+# the doubling's short probes are folded into one; the round loop, at about
+# 5 us per round, keeps its schedule.
+PROBE_MIN_ROUNDS = 1024
+
 # Both engines score a run in blocks of about this many cells ((n+2) x
 # rounds, or rounds for the mean metric), so scoring memory is O(block),
 # plus O(T) for the run's columns, whatever the horizon.
@@ -492,7 +501,11 @@ def _play(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool, s
     that writes into it raises numpy's ValueError. Each round's estimate
     goes into its column of a block buffer allocated once per run (the CDF
     values of a CDF-kind algorithm, else the scalar estimate), and
-    _score_run scores full blocks.
+    _score_run scores full blocks. Rounds before start are played but not
+    estimated: snapshot() and its index check are skipped there, and a
+    block that ends before start is not yielded. Only a search probe has
+    start > 1, and an earlier probe of the same search, which started at
+    round 1, has played and checked those rounds already.
     """
     n, horizon = config.n, config.horizon
     kind = alg.kind
@@ -516,6 +529,8 @@ def _play(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool, s
             b = 1 if x <= q else 0
             alg.observe(b)
             queries[i], samples[i], feedback[i] = q, x, b
+            if t < start:
+                continue
             try:
                 snap = alg.snapshot()
             except ValidationError as exc:
@@ -597,11 +612,11 @@ def _score_run(config, metric, tau, alg, queries, samples, feedback, blocks, kee
     round (k = est.shape[-1]), as _score_block takes them, in a buffer the
     next block may overwrite. Rounds before start are played but not
     scored: the running counts start from their samples, a block that
-    straddles start (the round loop's) is scored from start on, a block
-    that ends before it is skipped, and the errors returned are those of
-    rounds start .. horizon (a trajectory is kept with start 1 only). The
-    replay's blocks begin at start. The final CDF's index errors are
-    computed for a CDF-kind algorithm only.
+    straddles start (the round loop's) is scored from start on, and the
+    errors returned are those of rounds start .. horizon (a trajectory is
+    kept with start 1 only). No block ends before start: the replay's
+    blocks begin at start. The final CDF's index errors are computed for a
+    CDF-kind algorithm only.
     """
     n, horizon = config.n, config.horizon
     skipped = start - 1
@@ -612,8 +627,6 @@ def _score_run(config, metric, tau, alg, queries, samples, feedback, blocks, kee
         estimates = np.empty(horizon, dtype=np.float64 if metric == "mean" else np.int64)
     for lo, est in blocks:
         hi = lo + est.shape[-1]
-        if hi <= skipped:
-            continue
         first = max(lo, skipped)
         if counts is None:  # the round loop fills samples as it plays them
             counts = np.bincount(samples[:first], minlength=n + 2)
@@ -775,16 +788,27 @@ def _replay(config, metric, tau, alg, adversary, alg_rng, keep_trajectory: bool,
     )
 
 
+def _replays(alg: OnlineAlgorithm, adversary: Adversary) -> bool:
+    """Whether a run of these built sides is replayed as arrays (_replay), not round by round.
+
+    It is when the algorithm is cdf-, mean- or quantile-kind and has
+    query_batch, ingest_batch and estimate_batch, and the adversary has
+    sample_batch. A quantile-kind estimate_batch returns a CDF block whose
+    median index is each round's estimate, as the quantile wrapper's does.
+    """
+    return (
+        alg.kind in ("cdf", "mean", "quantile")
+        and all(hasattr(alg, m) for m in ("query_batch", "ingest_batch", "estimate_batch"))
+        and hasattr(adversary, "sample_batch")
+    )
+
+
 def _chunk_worker(args) -> dict:
     """Partial sums of runs [lo, hi), each run replayed as arrays when its sides allow.
 
-    A run is replayed when the algorithm is cdf-, mean- or quantile-kind,
-    the built algorithm has query_batch, ingest_batch and estimate_batch and
-    the built adversary has sample_batch, else it is played round by round.
-    A quantile-kind estimate_batch returns a CDF block whose median index is
-    each round's estimate, as the quantile wrapper's does. Both engines score with
-    _score_run on the same values, so errors, estimates and trajectories
-    are bit-identical.
+    A run is replayed when _replays says so, else it is played round by
+    round. Both engines score with _score_run on the same values, so errors,
+    estimates and trajectories are bit-identical.
 
     Every run is played from round 1 and scored from round start; failed
     holds each run's first failure before start (see _absorb_run), and the
@@ -802,12 +826,7 @@ def _chunk_worker(args) -> dict:
         if run == lo:  # every run's algorithm is of one kind
             metric, tau = _metric_of(config, alg)
             partial = _new_partial(config.horizon - start + 1, config.n, epsilon, alg.kind == "cdf")
-        replayable = (
-            alg.kind in ("cdf", "mean", "quantile")
-            and all(hasattr(alg, m) for m in ("query_batch", "ingest_batch", "estimate_batch"))
-            and hasattr(adversary, "sample_batch")
-        )
-        errs, idx_sq, trajectory = (_replay if replayable else _play)(
+        errs, idx_sq, trajectory = (_replay if _replays(alg, adversary) else _play)(
             config, metric, tau, alg, adversary, alg_rng, bool(export), start
         )
         if export:
@@ -816,6 +835,11 @@ def _chunk_worker(args) -> dict:
     if export:
         partial["exported"] = exported
     return partial
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
 
 
 def _open_pool(workers: int) -> Executor:
@@ -893,6 +917,7 @@ def monte_carlo(
     """
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
+    _check_workers(workers)
     if epsilon is not None and not epsilon >= 0:  # also rejects nan
         raise ValidationError(f"epsilon must be a nonnegative number, got {epsilon}")
     if sink is not None:
@@ -974,15 +999,24 @@ def estimate_query_complexity(
     (see _absorb_run). A probe runs only when h exceeds H. Whenever 2h <=
     t_cap the doubling asks for 2h right after h, as the confirmation when
     h passes and as the next h when it fails, so the probe for h plays to
-    2h: every horizon played is one the search asks for, in about half as
-    many probes. A probe plays every run again from round 1, on the run's
-    own rng lanes, which redraws the same rounds, and scores only the
-    rounds past H; a run that failed before H keeps its failure. A replayed
-    run fast-forwards its algorithm over rounds 1..H (see _replay). Each
-    round of each run is so estimated and scored once, and the bisection
-    reads its rates off the totals. Rates are integer counts over runs. All probes share one process
-    pool when workers > 1: _pool lends an open one (the CLI sweep holds one
-    for all its cells), else the search opens its own.
+    2h, in about half as many probes. When run 0's sides replay as arrays
+    (_replays), a probe also plays at least min(PROBE_MIN_ROUNDS, t_cap)
+    rounds: a replayed run's setup costs about as much as a thousand of its
+    rounds, so the short probes of the first doublings are folded into one.
+    Otherwise every horizon played is one the search asks for: the round
+    loop's rounds cost too much to play ahead, and a builder that refuses
+    the floor's horizon (a sequence shorter than it) keeps the search to the
+    horizons it asks for. A probe plays every run
+    again from round 1, on the run's own rng lanes, which redraws the same
+    rounds, and scores only the rounds past H; a run that failed before H
+    keeps its failure. A replayed run fast-forwards its algorithm over
+    rounds 1..H (see _replay), and the round loop skips their snapshots
+    (see _play). Each round of each run is so estimated and scored once,
+    and the bisection reads its rates off the totals. Rates are integer
+    counts over runs, so the floor changes which horizons are played, never
+    a rate. All probes share one process pool when workers > 1: _pool lends
+    an open one (the CLI sweep holds one for all its cells), else the
+    search opens its own.
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValidationError(f"epsilon must lie in (0, 1/2], got {epsilon}")
@@ -992,6 +1026,15 @@ def estimate_query_complexity(
         raise ValidationError(f"need >= 200 runs to resolve a {target} success rate, got {runs}")
     if t_cap < 1:
         raise ValidationError(f"t_cap must be >= 1, got {t_cap}")
+    _check_workers(workers)
+    horizon = 1 << config.burn_in.bit_length()  # smallest power of two > burn_in
+    # the fewest rounds a probe plays; at or below the first horizon it is moot
+    floor = min(PROBE_MIN_ROUNDS, t_cap)
+    try:
+        if floor > horizon and not _replays(*_build_sides(dataclasses.replace(config, horizon=floor), 0)[:2]):
+            floor = 0
+    except ValidationError:  # a builder refuses the floor's horizon, as a shorter sequence does
+        floor = 0
     rates: dict[int, float] = {}
     succ = np.zeros(0, dtype=np.int64)  # runs with error <= epsilon at rounds 1..H
     failed = [0] * runs  # each run's first failure among rounds 1..H
@@ -999,8 +1042,8 @@ def estimate_query_complexity(
     def rate(horizon: int, play: int = 0) -> float:
         nonlocal succ, failed
         if horizon not in rates:
-            if horizon > len(succ):  # a probe, played to max(horizon, play)
-                probe = dataclasses.replace(config, horizon=max(horizon, play))
+            if horizon > len(succ):  # a probe, played to max(horizon, play, floor)
+                probe = dataclasses.replace(config, horizon=max(horizon, play, floor))
                 part = _run_chunks(probe, runs, epsilon, workers, pool, len(succ) + 1, failed)
                 succ = np.concatenate([succ, part["succ"]])
                 failed = part["first_fail"]
@@ -1016,7 +1059,6 @@ def estimate_query_complexity(
     else:
         shared = contextlib.nullcontext(_pool)
     with shared as pool:
-        horizon = 1 << config.burn_in.bit_length()  # smallest power of two > burn_in
         while horizon <= t_cap:
             # rate(2h) comes next whenever 2h <= t_cap: one probe serves both
             double = 2 * horizon if 2 * horizon <= t_cap else 0
@@ -1140,6 +1182,9 @@ def write_summary_json(path, summary: MonteCarloSummary, t_hat: int | None = Non
 
 
 def default_workers() -> int:
+    """The number of CPUs this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     pool = _flags()
     pool.add_argument("--adv", metavar="SPEC", help="adversary spec, e.g. point-mass:1")
     pool.add_argument("--workers", type=int, default=arena.default_workers(),
-                      help="worker processes (all cores, %(default)s)")
+                      help="worker processes (the CPUs this process may run on, %(default)s)")
     game = _flags(config, sizes, matchup)
     game.add_argument("--runs", type=int, default=1, help="Monte Carlo runs (%(default)s)")
     game.add_argument("--eps", type=float, help="success threshold for rate reporting")

@@ -488,6 +488,25 @@ _WRAPPER_MATCHUPS = {
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        config = GameConfig(n=8, horizon=10, algorithm="meanest", adversary="uniform")
+        with pytest.raises(ValidationError, match=f"workers must be >= 1, got {workers}"):
+            monte_carlo(config, 4, workers=workers)
+
+    def test_default_workers_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        import os
+
+        import threshold_arena.arena as arena_mod
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert arena_mod.default_workers() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert arena_mod.default_workers() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert arena_mod.default_workers() == 1
+
     def test_single_run_equals_run_game(self):
         config = GameConfig(n=8, horizon=60, algorithm="meanest", adversary="uniform", seed=2)
         summary = monte_carlo(config, 1, epsilon=0.25)
@@ -1140,6 +1159,30 @@ class TestQueryComplexity:
         est = estimate_query_complexity(config, 0.01, runs=200, t_cap=4)
         assert not est.resolved and est.t_hat == 4
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        config = GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=8)
+        with pytest.raises(ValidationError, match=f"workers must be >= 1, got {workers}"):
+            estimate_query_complexity(config, 0.2, runs=200, workers=workers)
+
+    def test_round_loop_probe_skips_snapshots_of_its_unscored_prefix(self, monkeypatch):
+        import threshold_arena.estimators as est_mod
+
+        calls, snapshot = [], est_mod.HalvingBaseline.snapshot
+
+        def counted(self):
+            calls.append(1)
+            return snapshot(self)
+
+        monkeypatch.setattr(est_mod.HalvingBaseline, "snapshot", counted)
+        played = _record_probes(monkeypatch)
+        config = GameConfig(n=16, horizon=1, algorithm="halving", adversary="uniform", metric="median", seed=3)
+        estimate_query_complexity(config, 0.1, runs=200, t_cap=64)
+        assert played == [2, 8, 32, 64]
+        # one snapshot per scored round, plus _score_run's final one per run
+        # and probe; snapshotting every played round would make 22,000 calls
+        assert len(calls) == 200 * 64 + 200 * len(played) == 13_600
+
     def test_anytime_search_with_burn_in_starts_above_it(self):
         # the doubling used to start at horizon 1, an invalid game for burn_in 10
         config = GameConfig(
@@ -1302,65 +1345,118 @@ class TestQueryComplexity:
         monkeypatch.setattr(uniform, "ingest_batch", counted_ingests)
         played = _record_probes(monkeypatch)
         est = estimate_query_complexity(config, epsilon, runs=200, t_cap=t_cap)
-        longest = max(horizon for horizon, _ in est.curve)
-        assert len(est.curve) > 2 and sum(scored) == 200 * longest
+        # a replayed probe may play past the longest horizon asked about (up
+        # to its floor), and those rounds are scored once too
+        assert len(est.curve) > 2 and sum(scored) == 200 * max(played)
+        assert max(played) <= t_cap
         # estimates are built for the scored rounds only: each probe
         # fast-forwards every run over the rounds the probes before it scored
-        assert sum(built) == 200 * longest == 200 * max(played)
+        assert sum(built) == 200 * max(played)
         assert sum(ingested) == 200 * sum(played[:-1])
 
     @pytest.mark.parametrize(
-        "config,epsilon,t_cap,probes",
+        "config,epsilon,runs,t_cap,probes",
         [
             (
                 GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=8),
-                0.2, 1 << 20, [2, 8, 32, 128, 512, 1024],
+                0.2, 200, 1 << 20, [1024],
             ),
-            # 16 fails with 32 past the cap, so its probe must not play to 32
-            (GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=8), 0.2, 16, [2, 8, 16]),
+            # the floor is the cap: 16 fails with 32 past the cap, so no
+            # probe may play to 32
+            (GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=8), 0.2, 200, 16, [16]),
             # 512 passes with 1024 past the cap, so no probe confirms it at 1024
-            (GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=0), 0.2, 512, [2, 8, 32, 128, 512]),
+            (GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=0), 0.2, 200, 512, [512]),
             (
                 GameConfig(
                     n=8, horizon=1, algorithm="meanest", adversary="uniform", seed=2,
                     anytime=True, burn_in=6,
                 ),
-                0.3, 1 << 20, [16],
+                0.3, 200, 1 << 20, [1024],
+            ),
+            # the round loop has no floor: every probe plays to a horizon asked about
+            (
+                GameConfig(
+                    n=16, horizon=1, algorithm="halving", adversary="uniform", metric="median", seed=3
+                ),
+                0.1, 200, 64, [2, 8, 32, 64],
+            ),
+            # the two complexity-sweep cells of the benchmark at its seed 1,
+            # which played [2, 8, 32, 128, 512, 2048, 8192, 16384] and
+            # [2, 8, 32, 128, 256] before replayed probes had a floor
+            (
+                GameConfig(n=16, horizon=1, algorithm="cdfest", adversary="uniform", seed=1835504127),
+                0.1, 400, 1 << 20, [1024, 4096, 16384],
+            ),
+            (
+                GameConfig(n=16, horizon=1, algorithm="meanest", adversary="mirror", seed=1731038949),
+                0.05, 400, 1 << 20, [1024],
+            ),
+            # a sequence of 600 samples refuses the floor's horizon, so the
+            # replayed probes keep the plain schedule
+            (
+                GameConfig(
+                    n=8, horizon=1, algorithm="meanest", seed=2,
+                    adversary=AdversarySpec("sequence", {"samples": [(5 * t) % 9 + 1 for t in range(600)]}),
+                ),
+                0.1, 200, 1 << 20, [2, 8, 32],
             ),
         ],
-        ids=["cdf", "cap-16", "cap-512", "anytime-burn-in"],
+        ids=["cdf", "cap-16", "cap-512", "anytime-burn-in", "halving-round-loop",
+             "sweep-cdfest", "sweep-meanest", "sequence-below-the-floor"],
     )
-    def test_search_plays_only_horizons_it_asks_about(self, config, epsilon, t_cap, probes, monkeypatch):
+    def test_search_plays_only_horizons_it_asks_about(self, config, epsilon, runs, t_cap, probes, monkeypatch):
+        import threshold_arena.arena as arena_mod
+
         played = _record_probes(monkeypatch)
-        est = estimate_query_complexity(config, epsilon, runs=200, t_cap=t_cap)
-        # each doubling probe plays to 2h, which the search asks about next
-        assert played == probes and set(played) <= {horizon for horizon, _ in est.curve}
+        est = estimate_query_complexity(config, epsilon, runs=runs, t_cap=t_cap)
+        # each doubling probe plays to 2h, which the search asks about next,
+        # and a replayed probe plays at least its floor, asked about or not
+        sides = arena_mod._build_sides(dataclasses.replace(config, horizon=max(played)), 0)
+        floor = min(arena_mod.PROBE_MIN_ROUNDS, t_cap) if arena_mod._replays(*sides[:2]) else None
+        assert played == probes and set(played) <= {horizon for horizon, _ in est.curve} | {floor}
         assert max(played) <= t_cap
 
     @pytest.mark.parametrize(
-        "config,epsilon,expected",
+        "config,epsilon,t_cap,expected",
         [
             (
                 GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=0),
-                0.2,
+                0.2, 1 << 20,
                 (512, True, [(1, 0.0), (2, 0.0), (4, 0.0), (8, 0.0), (16, 0.0), (32, 0.0),
                              (64, 0.03), (128, 0.135), (256, 0.435), (384, 0.55), (448, 0.715),
                              (480, 0.745), (512, 0.785), (1024, 0.975)]),
             ),
             (
                 GameConfig(n=16, horizon=1, algorithm="meanest", adversary="mirror", seed=0),
-                0.05,
+                0.05, 1 << 20,
                 (88, True, [(1, 0.0), (2, 0.12), (4, 0.215), (8, 0.24), (16, 0.385), (32, 0.47),
                             (64, 0.65), (80, 0.745), (88, 0.75), (96, 0.785), (128, 0.86),
                             (256, 0.98)]),
             ),
+            (
+                GameConfig(
+                    n=16, horizon=1, algorithm="halving", adversary="uniform", metric="median", seed=3
+                ),
+                0.1, 64,
+                (64, False, [(1, 0.055), (2, 0.555), (4, 0.7), (8, 0.44), (16, 0.485), (32, 0.49),
+                             (64, 0.475)]),
+            ),
+            (
+                GameConfig(
+                    n=8, horizon=1, algorithm="meanest", adversary="uniform", seed=2,
+                    anytime=True, burn_in=6,
+                ),
+                0.3, 1 << 20,
+                (7, True, [(7, 0.965), (8, 0.94), (16, 0.92)]),
+            ),
         ],
-        ids=["cdfest-uniform", "meanest-mirror"],
+        ids=["cdfest-uniform", "meanest-mirror", "halving-round-loop", "anytime-burn-in"],
     )
-    def test_search_results_are_pinned(self, config, epsilon, expected):
-        # recorded before the search paired its probes: a change to a seeded
-        # stream that moves the search and monte_carlo alike still fails here
-        est = estimate_query_complexity(config, epsilon, runs=200)
+    def test_search_results_are_pinned(self, config, epsilon, t_cap, expected):
+        # recorded before the search paired its probes (the last two before
+        # replayed probes got a floor): a change to a seeded stream that moves
+        # the search and monte_carlo alike still fails here
+        est = estimate_query_complexity(config, epsilon, runs=200, t_cap=t_cap)
         assert (est.t_hat, est.resolved, est.curve) == expected
 
 

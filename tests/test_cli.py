@@ -142,6 +142,15 @@ class TestRun:
         assert "epsilon must be a nonnegative number" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # no summary.json, no CSV
 
+    def test_workers_below_one_exit_2(self, tmp_path, capsys):
+        code = main([
+            "run", "--algo", "cdfest", "--adv", "uniform", "--n", "4", "--T", "8",
+            "--workers", "0", "--out-dir", str(tmp_path),
+        ])
+        assert code == 2
+        assert "workers must be >= 1, got 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no summary.json, no CSV
+
     def test_reveal_samples_column(self, tmp_path):
         code = main([
             "run", "--algo", "cdfest", "--adv", "uniform", "--n", "4", "--T", "4",
@@ -429,6 +438,13 @@ class TestComplexity:
                      "--eps", "0.2", "--t-cap", t_cap, "--workers", "1", "--out-dir", str(tmp_path)])
         assert code == 2
         assert f"t_cap must be >= 1, got {t_cap}" in capsys.readouterr().err
+        assert not (tmp_path / "complexity.json").exists()
+
+    def test_workers_below_one_exit_2(self, tmp_path, capsys):
+        code = main(["complexity", "--algo", "cdfest", "--adv", "uniform", "--n", "8",
+                     "--eps", "0.2", "--workers", "-2", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "workers must be >= 1, got -2" in capsys.readouterr().err
         assert not (tmp_path / "complexity.json").exists()
 
     def test_unreachable_target_exits_2_before_any_probe(self, tmp_path, capsys, monkeypatch):

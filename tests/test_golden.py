@@ -6,7 +6,9 @@ algorithm without batch methods against an adaptive, phased, replayed or
 amplified adversary. Each Monte Carlo digest covers every field of one
 monte_carlo summary of a replayed matchup whose runs span several scoring
 blocks, and must come out the same at 1 and 2 workers. Each search digest
-covers (t_hat, resolved, curve) of one estimate_query_complexity call.
+covers (t_hat, resolved, curve) of one estimate_query_complexity call, and
+the complexity digest the bytes of the complexity.json that the
+`threshold-arena complexity` command writes, at 1 and 2 workers.
 The digests were recorded with numpy RECORDED_NUMPY. numpy may change its
 Generator streams between releases, so on another version the test fails
 and names both versions instead of passing or failing on stream noise.
@@ -16,11 +18,16 @@ Print the digests of the current code with:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from threshold_arena import cli
 from threshold_arena import (
     AdversarySpec,
     AlgorithmSpec,
@@ -134,6 +141,10 @@ SEARCH_DIGESTS = {
     "meanest/mirror": "04d32469e0efb5aa870a9247168105e1452a960a57d0c82dc97359f489fdf1d5",
 }
 
+COMPLEXITY_ARGS = ["complexity", "--algo", "cdfest", "--adv", "uniform", "--n", "4,8", "--eps", "0.2",
+                   "--runs", "200"]
+COMPLEXITY_DIGEST = "4816d0655b55865288bddff7faa3f1996f13b6f1a3eea7f3eb130f5e8ec03afe"
+
 
 def _update(h, name: str, value) -> None:
     if value is None or isinstance(value, float):
@@ -162,6 +173,14 @@ def search_digest(key: str) -> str:
     return hashlib.sha256(repr((est.t_hat, est.resolved, est.curve)).encode()).hexdigest()
 
 
+def complexity_digest(workers: int = 1) -> str:
+    with tempfile.TemporaryDirectory() as out:
+        args = COMPLEXITY_ARGS + ["--workers", str(workers), "--out-dir", out]
+        with contextlib.redirect_stdout(io.StringIO()):  # the command's progress lines
+            assert cli.main(args) == 0
+        return hashlib.sha256((Path(out) / "complexity.json").read_bytes()).hexdigest()
+
+
 def _check_numpy():
     if np.__version__ != RECORDED_NUMPY:
         pytest.fail(
@@ -183,6 +202,13 @@ def test_search_results_match_the_recorded_digests(key):
     assert search_digest(key) == SEARCH_DIGESTS[key], key
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_complexity_json_matches_the_recorded_digest(workers, monkeypatch):
+    _check_numpy()
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)  # the command's default seed, 0
+    assert complexity_digest(workers) == COMPLEXITY_DIGEST
+
+
 def test_every_summary_and_search_is_pinned():
     assert set(SUMMARY_DIGESTS) == set(SUMMARIES) and set(SEARCH_DIGESTS) == set(SEARCHES)
 
@@ -196,3 +222,4 @@ if __name__ == "__main__":
         print(f'    "{key}": "{summary_digest(key)}",')
     for key in sorted(SEARCHES):
         print(f'    "{key}": "{search_digest(key)}",')
+    print(f'COMPLEXITY_DIGEST = "{complexity_digest()}"')
