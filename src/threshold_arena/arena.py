@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from .core import (
+    ArenaError,
     ProtocolError,
     Trajectory,
     ValidationError,
@@ -80,8 +81,9 @@ CHUNK_RUNS = 32
 # n=16 on a 2-core machine, a 400-run probe took 53 ms at horizon 8 and 140
 # ms at 1024 for cdfest vs uniform, and 36 and 46 ms for meanest vs mirror,
 # most of it the per-run setup (rng lanes, builds, small numpy calls). So
-# the doubling's short probes are folded into one; the round loop, at about
-# 5 us per round, keeps its schedule.
+# the doubling's short probes are folded into one. The round loop keeps its
+# schedule: its rounds cost about 4 us each, and a 200-run halving search
+# whose answer is 4 took 0.04 s without the floor and 0.84 s with it.
 PROBE_MIN_ROUNDS = 1024
 
 # Both engines score a run in blocks of about this many cells ((n+2) x
@@ -1004,9 +1006,11 @@ def estimate_query_complexity(
     rounds: a replayed run's setup costs about as much as a thousand of its
     rounds, so the short probes of the first doublings are folded into one.
     Otherwise every horizon played is one the search asks for: the round
-    loop's rounds cost too much to play ahead, and a builder that refuses
-    the floor's horizon (a sequence shorter than it) keeps the search to the
-    horizons it asks for. A probe plays every run
+    loop's rounds cost too much to play ahead. A probe that raises past the
+    rounds it asks about (a sequence shorter than the floor, or an amplified
+    one whose next segment is) is played again without the floor, as is
+    every later probe, so the floor never makes a search fail where it
+    would not without it. A probe plays every run
     again from round 1, on the run's own rng lanes, which redraws the same
     rounds, and scores only the rounds past H; a run that failed before H
     keeps its failure. A replayed run fast-forwards its algorithm over
@@ -1028,23 +1032,29 @@ def estimate_query_complexity(
         raise ValidationError(f"t_cap must be >= 1, got {t_cap}")
     _check_workers(workers)
     horizon = 1 << config.burn_in.bit_length()  # smallest power of two > burn_in
-    # the fewest rounds a probe plays; at or below the first horizon it is moot
+    # the fewest rounds a replayed probe plays; run 0's sides are built at
+    # the first horizon, which the first probe plays when the floor is past it
     floor = min(PROBE_MIN_ROUNDS, t_cap)
-    try:
-        if floor > horizon and not _replays(*_build_sides(dataclasses.replace(config, horizon=floor), 0)[:2]):
-            floor = 0
-    except ValidationError:  # a builder refuses the floor's horizon, as a shorter sequence does
+    if floor <= horizon or not _replays(*_build_sides(dataclasses.replace(config, horizon=horizon), 0)[:2]):
         floor = 0
     rates: dict[int, float] = {}
     succ = np.zeros(0, dtype=np.int64)  # runs with error <= epsilon at rounds 1..H
     failed = [0] * runs  # each run's first failure among rounds 1..H
 
     def rate(horizon: int, play: int = 0) -> float:
-        nonlocal succ, failed
+        nonlocal succ, failed, floor
         if horizon not in rates:
             if horizon > len(succ):  # a probe, played to max(horizon, play, floor)
                 probe = dataclasses.replace(config, horizon=max(horizon, play, floor))
-                part = _run_chunks(probe, runs, epsilon, workers, pool, len(succ) + 1, failed)
+                try:
+                    part = _run_chunks(probe, runs, epsilon, workers, pool, len(succ) + 1, failed)
+                except ArenaError:
+                    if probe.horizon == max(horizon, play):
+                        raise
+                    # a round past those asked about failed (a sequence, plain or
+                    # amplified, shorter than the floor): play it again without the floor
+                    floor = 0
+                    return rate(horizon, play)
                 succ = np.concatenate([succ, part["succ"]])
                 failed = part["first_fail"]
             if config.anytime:

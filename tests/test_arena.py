@@ -1098,8 +1098,12 @@ def test_run_scored_from_start_is_the_tail_of_the_whole_run(algorithm, metric, s
     assert (idx is None and whole_idx is None) or np.array_equal(idx, whole_idx)
 
 
+# 600 samples: shorter than a replayed search probe's floor
+_SEQUENCE_600 = AdversarySpec("sequence", {"samples": [(5 * t) % 9 + 1 for t in range(600)]})
+
+
 def _record_probes(monkeypatch) -> list[int]:
-    """The horizon of each probe a search plays, in order, as it plays them."""
+    """The horizon of each probe a search plays, in order, as it starts them (one that raises too)."""
     import threshold_arena.arena as arena_mod
 
     played, run_chunks = [], arena_mod._run_chunks
@@ -1355,64 +1359,66 @@ class TestQueryComplexity:
         assert sum(ingested) == 200 * sum(played[:-1])
 
     @pytest.mark.parametrize(
-        "config,epsilon,runs,t_cap,probes",
+        "config,epsilon,runs,t_cap,probes,floor",
         [
             (
                 GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=8),
-                0.2, 200, 1 << 20, [1024],
+                0.2, 200, 1 << 20, [1024], 1024,
             ),
             # the floor is the cap: 16 fails with 32 past the cap, so no
             # probe may play to 32
-            (GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=8), 0.2, 200, 16, [16]),
+            (GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=8), 0.2, 200, 16, [16], 16),
             # 512 passes with 1024 past the cap, so no probe confirms it at 1024
-            (GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=0), 0.2, 200, 512, [512]),
+            (GameConfig(n=8, horizon=1, algorithm="cdfest", adversary="uniform", seed=0), 0.2, 200, 512, [512], 512),
             (
                 GameConfig(
                     n=8, horizon=1, algorithm="meanest", adversary="uniform", seed=2,
                     anytime=True, burn_in=6,
                 ),
-                0.3, 200, 1 << 20, [1024],
+                0.3, 200, 1 << 20, [1024], 1024,
             ),
             # the round loop has no floor: every probe plays to a horizon asked about
             (
                 GameConfig(
                     n=16, horizon=1, algorithm="halving", adversary="uniform", metric="median", seed=3
                 ),
-                0.1, 200, 64, [2, 8, 32, 64],
+                0.1, 200, 64, [2, 8, 32, 64], None,
             ),
             # the two complexity-sweep cells of the benchmark at its seed 1,
             # which played [2, 8, 32, 128, 512, 2048, 8192, 16384] and
             # [2, 8, 32, 128, 256] before replayed probes had a floor
             (
                 GameConfig(n=16, horizon=1, algorithm="cdfest", adversary="uniform", seed=1835504127),
-                0.1, 400, 1 << 20, [1024, 4096, 16384],
+                0.1, 400, 1 << 20, [1024, 4096, 16384], 1024,
             ),
             (
                 GameConfig(n=16, horizon=1, algorithm="meanest", adversary="mirror", seed=1731038949),
-                0.05, 400, 1 << 20, [1024],
+                0.05, 400, 1 << 20, [1024], 1024,
             ),
-            # a sequence of 600 samples refuses the floor's horizon, so the
-            # replayed probes keep the plain schedule
+            # a sequence of 600 samples refuses the floor's horizon when it
+            # is built, and an amplified one at round 34, where its third
+            # segment (1056 rounds) is built: the first probe raises, and the
+            # search plays it again, and every later probe, without the floor
+            (
+                GameConfig(n=8, horizon=1, algorithm="meanest", seed=2, adversary=_SEQUENCE_600),
+                0.1, 200, 1 << 20, [1024, 2, 8, 32], 1024,
+            ),
             (
                 GameConfig(
                     n=8, horizon=1, algorithm="meanest", seed=2,
-                    adversary=AdversarySpec("sequence", {"samples": [(5 * t) % 9 + 1 for t in range(600)]}),
+                    adversary=AdversarySpec("amplified", {"inner": _SEQUENCE_600}),
                 ),
-                0.1, 200, 1 << 20, [2, 8, 32],
+                0.25, 200, 1 << 20, [1024, 2], 1024,
             ),
         ],
         ids=["cdf", "cap-16", "cap-512", "anytime-burn-in", "halving-round-loop",
-             "sweep-cdfest", "sweep-meanest", "sequence-below-the-floor"],
+             "sweep-cdfest", "sweep-meanest", "sequence-below-the-floor", "amplified-sequence-below-the-floor"],
     )
-    def test_search_plays_only_horizons_it_asks_about(self, config, epsilon, runs, t_cap, probes, monkeypatch):
-        import threshold_arena.arena as arena_mod
-
+    def test_search_plays_only_horizons_it_asks_about(self, config, epsilon, runs, t_cap, probes, floor, monkeypatch):
         played = _record_probes(monkeypatch)
         est = estimate_query_complexity(config, epsilon, runs=runs, t_cap=t_cap)
         # each doubling probe plays to 2h, which the search asks about next,
         # and a replayed probe plays at least its floor, asked about or not
-        sides = arena_mod._build_sides(dataclasses.replace(config, horizon=max(played)), 0)
-        floor = min(arena_mod.PROBE_MIN_ROUNDS, t_cap) if arena_mod._replays(*sides[:2]) else None
         assert played == probes and set(played) <= {horizon for horizon, _ in est.curve} | {floor}
         assert max(played) <= t_cap
 
@@ -1449,11 +1455,19 @@ class TestQueryComplexity:
                 0.3, 1 << 20,
                 (7, True, [(7, 0.965), (8, 0.94), (16, 0.92)]),
             ),
+            (
+                GameConfig(
+                    n=8, horizon=1, algorithm="meanest", seed=2,
+                    adversary=AdversarySpec("amplified", {"inner": _SEQUENCE_600}),
+                ),
+                0.25, 1 << 20,
+                (1, True, [(1, 1.0), (2, 1.0)]),
+            ),
         ],
-        ids=["cdfest-uniform", "meanest-mirror", "halving-round-loop", "anytime-burn-in"],
+        ids=["cdfest-uniform", "meanest-mirror", "halving-round-loop", "anytime-burn-in", "amplified-sequence"],
     )
     def test_search_results_are_pinned(self, config, epsilon, t_cap, expected):
-        # recorded before the search paired its probes (the last two before
+        # recorded before the search paired its probes (the last three before
         # replayed probes got a floor): a change to a seeded stream that moves
         # the search and monte_carlo alike still fails here
         est = estimate_query_complexity(config, epsilon, runs=200, t_cap=t_cap)
