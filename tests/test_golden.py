@@ -8,7 +8,11 @@ monte_carlo summary of a replayed matchup whose runs span several scoring
 blocks, and must come out the same at 1 and 2 workers. Each search digest
 covers (t_hat, resolved, curve) of one estimate_query_complexity call, and
 the complexity digest the bytes of the complexity.json that the
-`threshold-arena complexity` command writes, at 1 and 2 workers.
+`threshold-arena complexity` command writes, at 1 and 2 workers. Each
+kernel digest covers one result of noisy_binary_search, boosted_quantile
+or stochastic_cdf against a step oracle or a seeded pmf oracle: the index,
+queries and capped flag, the trial indices, the anchors, and the bytes of
+the stitched estimate.
 The digests were recorded with numpy RECORDED_NUMPY. numpy may change its
 Generator streams between releases, so on another version the test fails
 and names both versions instead of passing or failing on stream noise.
@@ -32,9 +36,13 @@ from threshold_arena import (
     AdversarySpec,
     AlgorithmSpec,
     GameConfig,
+    StochasticCdfResult,
+    boosted_quantile,
     estimate_query_complexity,
     monte_carlo,
+    noisy_binary_search,
     run_game,
+    stochastic_cdf,
 )
 
 RECORDED_NUMPY = "2.4.6"
@@ -146,6 +154,77 @@ COMPLEXITY_ARGS = ["complexity", "--algo", "cdfest", "--adv", "uniform", "--n", 
 COMPLEXITY_DIGEST = "4816d0655b55865288bddff7faa3f1996f13b6f1a3eea7f3eb130f5e8ec03afe"
 
 
+# The search kernel on its own. A step oracle's search path is deterministic;
+# a pmf oracle draws one sample per call from a Dirichlet pmf on {1..n} with
+# no mass at n+1 (the stochastic_cdf domain), so its tau = 1 search runs to
+# the budget and comes back capped.
+KERNEL_SIZES, KERNEL_TAUS = (1, 64, 1024), (0.0, 0.125, 0.5, 1.0)
+
+
+def _step_oracle(n: int):
+    k = n // 3 + 1
+    return lambda i, rng: 1 if i >= k else 0
+
+
+def _pmf_oracle(n: int):
+    cum = np.cumsum(np.random.default_rng(n).dirichlet(np.ones(n)))
+    cum[-1] = 1.0
+
+    def oracle(q, rng):
+        x = int(cum.searchsorted(rng.random(), side="right")) + 1
+        return 1 if x <= q else 0
+
+    return oracle
+
+
+# key: (function, oracle builder, n, keyword arguments)
+KERNELS = {
+    **{
+        f"search/{kind}/n={n}/tau={tau}": (noisy_binary_search, make, n, {"tau": tau})
+        for kind, make in (("step", _step_oracle), ("pmf", _pmf_oracle))
+        for n in KERNEL_SIZES
+        for tau in KERNEL_TAUS
+    },
+    "boosted/n=64/tau=0.25": (boosted_quantile, _pmf_oracle, 64, {"tau": 0.25}),
+    "boosted/n=64/tau=0.75": (boosted_quantile, _pmf_oracle, 64, {"tau": 0.75}),
+    "boosted/n=16/tau=0.5/budget=6": (boosted_quantile, _pmf_oracle, 16, {"tau": 0.5, "budget": 6}),
+    **{f"stochastic-cdf/n={n}": (stochastic_cdf, _pmf_oracle, n, {}) for n in (16, 64, 1024)},
+}
+
+KERNEL_DIGESTS = {
+    "boosted/n=16/tau=0.5/budget=6": "14c0b578203bcf8f244e4960b5c45f3afd3f21cc9ad469bae7b3df0dcacfb414",
+    "boosted/n=64/tau=0.25": "ccd0dc177e9e1a32193884063f2dbead42dbf965e501a12a6898bf6888767ead",
+    "boosted/n=64/tau=0.75": "b9e28e5fb143b2ab3f68e379d172e8546fd70820652f67e3c517751d7facabb0",
+    "search/pmf/n=1/tau=0.0": "5d262ebbe315e55066875422e08ea3de324c18b589d879c4765c573fe6f716dc",
+    "search/pmf/n=1/tau=0.125": "5d262ebbe315e55066875422e08ea3de324c18b589d879c4765c573fe6f716dc",
+    "search/pmf/n=1/tau=0.5": "7c72ccbc47dbc7b97355ffc7224d9111ec7b74b83f88658063d801137658f27f",
+    "search/pmf/n=1/tau=1.0": "e9a3ebf451b6e0b1954132109604da65e303171fbd43382c6a1b4b967e9d3207",
+    "search/pmf/n=1024/tau=0.0": "ffad2eec56866846676ed036cc8cd8aaea8dd4f3287447f822ce663c5d1ff5ea",
+    "search/pmf/n=1024/tau=0.125": "295c6fadc59f28f5f4f28f96e59231e0164af012e18ffe76651b45420a02c5a0",
+    "search/pmf/n=1024/tau=0.5": "2fd5e3e16ad18ce3bd6d00292f3f951230d52e5ce7516660d56561065be26674",
+    "search/pmf/n=1024/tau=1.0": "a6671ffd13c02e2f9e1a306bae522ddadd242c54d14904ecf90314dbe05109c8",
+    "search/pmf/n=64/tau=0.0": "1da4d69101298353a1046f0973e3b51bf9e58933b70b607e08c99e798af15993",
+    "search/pmf/n=64/tau=0.125": "ec5d1d7039f7c4bb08ab3306530cf26824c0cbd61cbe06c9b94f60a298139639",
+    "search/pmf/n=64/tau=0.5": "03163be08c4a7017e45a85156f2cbda59af421880a69274b8dcfd4c95d45516c",
+    "search/pmf/n=64/tau=1.0": "f68cab975f442853a955f3137154f2cf185c3390c278236f435ca4dedf3680b5",
+    "search/step/n=1/tau=0.0": "5d262ebbe315e55066875422e08ea3de324c18b589d879c4765c573fe6f716dc",
+    "search/step/n=1/tau=0.125": "5d262ebbe315e55066875422e08ea3de324c18b589d879c4765c573fe6f716dc",
+    "search/step/n=1/tau=0.5": "7c72ccbc47dbc7b97355ffc7224d9111ec7b74b83f88658063d801137658f27f",
+    "search/step/n=1/tau=1.0": "e9a3ebf451b6e0b1954132109604da65e303171fbd43382c6a1b4b967e9d3207",
+    "search/step/n=1024/tau=0.0": "ffad2eec56866846676ed036cc8cd8aaea8dd4f3287447f822ce663c5d1ff5ea",
+    "search/step/n=1024/tau=0.125": "9038b0fe3e533fca49abf9256b11a9082b7b7f1f7150db604909531fd1b281a2",
+    "search/step/n=1024/tau=0.5": "c952934d08157a307549b5edef25e02f130a6341b21f00b172bc7d567dc6de0d",
+    "search/step/n=1024/tau=1.0": "ffad2eec56866846676ed036cc8cd8aaea8dd4f3287447f822ce663c5d1ff5ea",
+    "search/step/n=64/tau=0.0": "bd91670d554afee71a92dc618fb244bfabaa4f8a9e5142c46cb9701b1e02e57d",
+    "search/step/n=64/tau=0.125": "11d47a19dbb4c7d22c6acdaf5140ce47aca526473b69f24e928be02e0188ec3d",
+    "search/step/n=64/tau=0.5": "9de3d8e1d68fe91f189fe8f1c97905187dd516148473f3dcbe9929dc14f20a14",
+    "search/step/n=64/tau=1.0": "bd91670d554afee71a92dc618fb244bfabaa4f8a9e5142c46cb9701b1e02e57d",
+    "stochastic-cdf/n=1024": "f27e91a6e2dde636dc934cde495d7edafa8de98de8965baf4574f6704176c185",
+    "stochastic-cdf/n=16": "923a58f35af634b81fa3e9129825113ea63ab35e15213138bddcb95bc1b0b75d",
+    "stochastic-cdf/n=64": "d46d86adc571faf97e1d96d187fed0aa7c593606618bbcfff63b8eb157caa3bb",
+}
+
+
 def _update(h, name: str, value) -> None:
     if value is None or isinstance(value, float):
         h.update(f"{name}:{value!r};".encode())
@@ -171,6 +250,18 @@ def search_digest(key: str) -> str:
     config, epsilon = SEARCHES[key]
     est = estimate_query_complexity(config, epsilon, runs=SEARCH_RUNS)
     return hashlib.sha256(repr((est.t_hat, est.resolved, est.curve)).encode()).hexdigest()
+
+
+def kernel_digest(key: str) -> str:
+    function, make_oracle, n, kwargs = KERNELS[key]
+    result = function(make_oracle(n), n, rng=np.random.default_rng(SEED), **kwargs)
+    h = hashlib.sha256()
+    if isinstance(result, StochasticCdfResult):
+        h.update(repr((sorted(result.anchors.items()), result.queries, result.capped)).encode())
+        _update(h, "estimate", result.estimate.values)
+    else:  # the dataclass repr names every field: index, queries, capped, trial indices
+        h.update(repr(result).encode())
+    return h.hexdigest()
 
 
 def complexity_digest(workers: int = 1) -> str:
@@ -209,8 +300,15 @@ def test_complexity_json_matches_the_recorded_digest(workers, monkeypatch):
     assert complexity_digest(workers) == COMPLEXITY_DIGEST
 
 
+@pytest.mark.parametrize("key", sorted(KERNEL_DIGESTS))
+def test_search_kernel_results_match_the_recorded_digests(key):
+    _check_numpy()
+    assert kernel_digest(key) == KERNEL_DIGESTS[key], key
+
+
 def test_every_summary_and_search_is_pinned():
     assert set(SUMMARY_DIGESTS) == set(SUMMARIES) and set(SEARCH_DIGESTS) == set(SEARCHES)
+    assert set(KERNEL_DIGESTS) == set(KERNELS)
 
 
 if __name__ == "__main__":
@@ -222,4 +320,6 @@ if __name__ == "__main__":
         print(f'    "{key}": "{summary_digest(key)}",')
     for key in sorted(SEARCHES):
         print(f'    "{key}": "{search_digest(key)}",')
+    for key in sorted(KERNELS):
+        print(f'    "{key}": "{kernel_digest(key)}",')
     print(f'COMPLEXITY_DIGEST = "{complexity_digest()}"')
