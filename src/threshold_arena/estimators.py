@@ -44,6 +44,10 @@ class OnlineAlgorithm:
     the breaker construction is refused to any other. The public
     ingest(query, feedback) is also usable directly to replay an offline
     (query, feedback) log without touching the rng.
+
+    snapshot() is a pure read: it changes no state, and it may return a
+    shared, read-only object that stays the same until the estimate
+    changes, so a caller that wants to modify it copies it first.
     """
 
     deterministic = False
@@ -268,20 +272,30 @@ def _quantile_search(n: int, tau: float, budget: int | None = None):
 
     Returns a SearchResult via StopIteration.value.
 
-    Per-step cost is dominated by numpy call overhead, so the loop calls
-    ufuncs and ndarray methods directly (np.add.accumulate is what np.cumsum
-    computes), reuses one prefix-sum buffer, and skips the O(n) maximum
-    while a running upper bound on it, `peak`, is at most 3/4 of the total.
-    The bound is safe because rounding is monotone: for weights w <= peak
-    and a positive factor f <= fmax, fl(w * f) <= fl(peak * fmax). Every
-    floating-point operation on the weights is the same as in the plain
-    loop, so results are unchanged bit for bit.
+    Per-step cost is dominated by numpy call overhead, so an informative step
+    makes three numpy calls on the weights: one np.add.accumulate (what
+    np.cumsum computes) into a reused prefix-sum buffer, one searchsorted
+    for the weighted median, and one np.multiply that scales both sides at
+    once. For the multiply, each bit has a row built once per search, n+1
+    copies of the left factor then n+1 of the right, and the step multiplies
+    by the row's window of n+1 entries starting at n+1-coin, which holds
+    coin left factors. Totals and prefix sums are read as Python floats
+    through csum.item, ufuncs and bound methods are held in locals, and the
+    O(n) maximum is skipped while a running upper bound on it, `peak`, is at
+    most 3/4 of the total. The bound is safe because rounding is monotone:
+    for weights w <= peak and a positive factor f <= fmax,
+    fl(w * f) <= fl(peak * fmax). Every floating-point operation on the
+    weights is the same as in the plain loop, so results are unchanged bit
+    for bit. The prefix sum stays sequential for that reason: a pairwise or
+    blocked sum would round differently and move the median boundary, and
+    at n = 1024 it is the floor of a step's cost.
     """
     if budget is None:
         budget = search_budget(n)
     elif budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")
-    weights = np.full(n + 1, 1.0 / (n + 1))
+    size = n + 1
+    weights = np.full(size, 1.0 / size)
     csum = np.empty_like(weights)
     up = 1.0 + SEARCH_WEIGHT_ETA
     dn = 1.0 - SEARCH_WEIGHT_ETA
@@ -292,13 +306,16 @@ def _quantile_search(n: int, tau: float, budget: int | None = None):
         (dn ** exp_zero, up ** exp_zero),
         (up ** exp_one, dn ** exp_one),
     )
+    rows = tuple(np.repeat(pair, size) for pair in factors)
     growth = (max(factors[0]), max(factors[1]))
     noop = (exp_zero == 0.0, exp_one == 0.0)
+    accumulate, multiply = np.add.accumulate, np.multiply
+    item, searchsorted = csum.item, csum.searchsorted
     peak = math.inf
     queries = 0
     while True:
-        np.add.accumulate(weights, out=csum)
-        total = float(csum[-1])
+        accumulate(weights, out=csum)
+        total = item(n)
         if peak > 0.75 * total:
             peak = float(weights.max())
             if peak > 0.75 * total:
@@ -309,13 +326,13 @@ def _quantile_search(n: int, tau: float, budget: int | None = None):
             continue
         # Candidate k holds the weighted median; flip the boundary coin on its
         # heavier side so both neighbor groups keep losing mass to it.
-        k = int(csum.searchsorted(0.5 * total))
+        k = int(searchsorted(0.5 * total))
         if k <= 0:
             coin = 1
         elif k >= n:
             coin = n
         else:
-            coin = k if csum[k - 1] >= total - csum[k] else k + 1
+            coin = k if item(k - 1) >= total - item(k) else k + 1
         while True:
             if queries >= budget:
                 return SearchResult(int(weights.argmax()), queries, True)
@@ -325,9 +342,7 @@ def _quantile_search(n: int, tau: float, budget: int | None = None):
                 break
             # Uninformative outcome for this tau: weights are unchanged, so
             # the query point cannot move either. Flip the same coin again.
-        left, right = factors[bit]
-        weights[:coin] *= left
-        weights[coin:] *= right
+        multiply(weights, rows[bit][size - coin : 2 * size - coin], out=weights)
         peak *= growth[bit]
 
 
@@ -461,6 +476,8 @@ def stochastic_cdf(
     sup_i |F_hat(i) - F(i)| <= 1/4 with probability at least 3/4, using at
     most 8 * trials * budget oracle calls.
     """
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
     anchors: dict[float, QuantileEstimate] = {}
     _drive(_anchor_pipeline(n, trials, budget, anchors), comparison_oracle, rng)
     estimate = stitch_quantile_anchors({tau: qe.index for tau, qe in anchors.items()}, n)
@@ -477,7 +494,8 @@ class StochasticCdf(OnlineAlgorithm):
 
     Queries follow the internal searches; once every anchor is resolved the
     algorithm keeps querying uniformly at random and ignores the feedback.
-    snapshot() stitches the anchors resolved so far.
+    snapshot() stitches the anchors resolved so far; it returns the same
+    estimate, with read-only values, until another anchor resolves.
     """
 
     kind = "cdf"
@@ -487,6 +505,8 @@ class StochasticCdf(OnlineAlgorithm):
         self._anchors: dict[float, QuantileEstimate] = {}
         self._gen = _anchor_pipeline(n, trials, budget, self._anchors)
         self._done = False
+        self._snapshot: CdfEstimate | None = None
+        self._snapshot_anchors = -1  # anchors resolved when _snapshot was stitched
         self._pending = next(self._gen)  # a search with budget >= 1 queries at least once
 
     def _query(self, rng: np.random.Generator) -> int:
@@ -507,9 +527,13 @@ class StochasticCdf(OnlineAlgorithm):
         return self._done
 
     def snapshot(self) -> CdfEstimate:
-        return stitch_quantile_anchors(
-            {tau: qe.index for tau, qe in self._anchors.items()}, self.n
-        )
+        if self._snapshot_anchors != len(self._anchors):
+            self._snapshot = stitch_quantile_anchors(
+                {tau: qe.index for tau, qe in self._anchors.items()}, self.n
+            )
+            self._snapshot.values.flags.writeable = False
+            self._snapshot_anchors = len(self._anchors)
+        return self._snapshot
 
 
 # ---------------------------------------------------------------------------

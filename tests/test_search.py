@@ -159,6 +159,18 @@ class TestStochasticCdf:
         with pytest.raises(ValidationError, match="budget must be >= 1, got 0"):
             stochastic_cdf(step_oracle(1), 4, budget=0)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_size_below_one_rejected_before_any_query(self, n):
+        calls = []
+
+        def oracle(q, rng):
+            calls.append(q)
+            return 1
+
+        with pytest.raises(ValidationError, match=f"n must be >= 1, got {n}"):
+            stochastic_cdf(oracle, n)
+        assert calls == []
+
     def test_query_budget_and_anchor_keys(self):
         n = 16
         pmf = np.r_[np.full(n, 1 / n), 0.0]
@@ -188,6 +200,28 @@ class TestStochasticCdfOnline:
             t: a.index for t, a in functional.anchors.items()
         }
         assert np.array_equal(alg.snapshot().values, functional.estimate.values)
+
+    def test_snapshot_is_shared_read_only_and_unchanged_by_a_write(self):
+        # one instance's snapshots are written into every round, a twin fed
+        # the same bits is not; a write raises and neither estimate moves
+        n = 8
+        pmf = np.r_[np.full(n, 1 / n), 0.0]
+        oracle, twin_oracle = pmf_oracle(pmf), pmf_oracle(pmf)
+        alg, twin = StochasticCdf(n, budget=20), StochasticCdf(n, budget=20)
+        g, twin_g, dummy = np.random.default_rng(4), np.random.default_rng(4), np.random.default_rng(0)
+        previous, resolved = alg.snapshot(), 0
+        for _ in range(8 * 5 * 20 + 10):
+            alg.observe(oracle(alg.next_query(dummy), g))
+            twin.observe(twin_oracle(twin.next_query(dummy), twin_g))
+            snap = alg.snapshot()
+            assert (snap is previous) == (len(alg._anchors) == resolved)
+            with pytest.raises(ValueError, match="read-only"):
+                snap.values[1] = 0.5
+            assert np.array_equal(snap.values, twin.snapshot().values)
+            assert np.array_equal(snap.values, stitch_quantile_anchors(
+                {tau: a.index for tau, a in alg._anchors.items()}, n).values)
+            previous, resolved = snap, len(alg._anchors)
+        assert alg.done and resolved == len(ANCHOR_TAUS)
 
     def test_idles_after_completion(self):
         n = 4
@@ -261,24 +295,36 @@ def run_recorded(search, oracle, rng):
         return stop.value, coins
 
 
-def assert_same_search(n, tau, budget, make_oracle, seed=0):
+def assert_same_search(n, tau, budget, make_oracle, seed=0, coins=None):
+    """Check the kernel against the reference; extends `coins` with the coins flipped."""
     renorms = []
     expected = run_recorded(reference_quantile_search(n, tau, budget, renorms),
                             make_oracle(), np.random.default_rng(seed))
     actual = run_recorded(_quantile_search(n, tau, budget),
                           make_oracle(), np.random.default_rng(seed))
     assert actual == expected
+    if coins is not None:
+        coins.extend(expected[1])
     return expected[0], renorms
 
 
 class TestSearchKernelEquivalence:
-    @pytest.mark.parametrize("n", [1, 2, 64, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 64, 256, 1024])
     @pytest.mark.parametrize("tau", [0.0, 1 / 8, 1 / 2, 1.0])
     def test_step_oracles(self, n, tau):
+        # coins whose bit moved the weights: coin 1 and coin n are the two
+        # edges of the multiply's window (one left factor, n left factors)
+        informative = set()
         for k in sorted({1, (n + 1) // 2, n}):
-            assert_same_search(n, tau, search_budget(n), lambda: step_oracle(k))
+            coins = []
+            assert_same_search(n, tau, search_budget(n), lambda: step_oracle(k), coins=coins)
+            informative.update(c for c in coins if (tau < 1.0 if c >= k else tau > 0.0))
+        # at tau = 0 (tau = 1) bit 0 (bit 1) is a no-op, so a step oracle
+        # cannot drive an informative flip to the far edge
+        if 0.0 < tau < 1.0:
+            assert {1, n} <= informative
 
-    @pytest.mark.parametrize("n", [1, 2, 64, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 64, 256, 1024])
     @pytest.mark.parametrize("tau", [0.0, 1 / 8, 1 / 2, 1.0])
     def test_iid_pmf_oracles(self, n, tau):
         master = np.random.default_rng(n)
